@@ -62,7 +62,10 @@ bench-wcoj:
 # produce identical tuple sets — enforced always — plus the 6x6-grid
 # cyclic low-htw panel where the gate must pick the decomposition and
 # it must be >= 1.1x faster than the bucket plan (PPR_GHD_GATE_MIN
-# overrides the threshold, 0 disables), and a jobs=4 vs jobs=1
+# overrides the threshold, 0 disables), Figure 3's dense panel (order
+# 16, densities 6 and 7) where the forced decomposition must match
+# bucket elimination with no intermediate above 4,096 rows — enforced
+# always — and a jobs=4 vs jobs=1
 # adaptive-sweep wall-time check — a hard gate on >= 4-core runners,
 # warn-only below (PPR_GHD_PAR_GATE_MAX overrides the 1.05x tolerance,
 # 0 disables). The verdict lands in BENCH_results.json under

@@ -4,7 +4,7 @@
      dune exec bench/ghd_bench.exe -- [--order N] [--seeds K] [--reps K]
          [--json FILE]
 
-   Three obligations:
+   Four obligations:
 
    - Output identity, enforced always: over a sweep of 3-COLOR instances
      (random densities x seeds x encoding modes, plus the structured
@@ -22,6 +22,15 @@
      default panel is N=6). The threshold (default 1.1x, override with
      PPR_GHD_GATE_MIN; 0 disables) is only enforced when the gate
      actually picked Ghd on that panel.
+
+   - Bag-size ceiling on Figure 3's dense panel, enforced always: random
+     3-COLOR of order 16 at densities 6 and 7, graphs from seeds
+     1000-1002, Boolean and 20%-free heads, evaluated by the forced
+     decomposition. Every cell must be tuple-identical to bucket
+     elimination, and no cell's largest intermediate may exceed
+     [dense_row_ceiling] rows. A bag materialized by joining its cover
+     before filtering reaches 279,936 rows here (6^7: seven disjoint
+     edges); one generic join per bag stays at a handful.
 
    - Parallel sweep check: the gated evaluation of every identity cell
      through Sweep.map_cells under a 4-domain pool must not be slower
@@ -71,6 +80,8 @@ let coloring ~mode ~seed g =
   let db = Encode.coloring_database () in
   let cq = Encode.coloring_query_of_graph ~mode ~rng:(rng (seed + 71)) g in
   (db, cq)
+
+let dense_row_ceiling = 4096
 
 let bucket_result ?ctx db cq =
   Ppr_core.Exec.run ?ctx db (Ppr_core.Bucket.compile ~rng:(rng 11) cq)
@@ -185,6 +196,46 @@ let () =
     ghd_s speedup;
   let speedup_ok = (not enforced) || speedup >= threshold in
   (* ---------------------------------------------------------------- *)
+  (* Figure 3 dense panel: forced decomposition, bag-size ceiling.     *)
+  let dense_cells =
+    List.concat_map
+      (fun density ->
+        List.concat_map
+          (fun seed ->
+            List.map
+              (fun (mname, mode) ->
+                let r = rng seed in
+                let g = Gen.random ~rng:r ~n:16 ~m:(density * 16) in
+                let cq =
+                  Encode.coloring_query_of_graph ~mode
+                    ~rng:(Graphlib.Rng.split r) g
+                in
+                (Printf.sprintf "dense d=%d s=%d %s" density seed mname, cq))
+              [ ("bool", Encode.Boolean); ("free20", Encode.Fraction 0.2) ])
+          [ 1000; 1001; 1002 ])
+      [ 6; 7 ]
+  in
+  let db = Encode.coloring_database () in
+  let dense_failures = ref 0 and dense_peak = ref 0 in
+  List.iter
+    (fun (name, cq) ->
+      let stats = Relalg.Stats.create () in
+      let forced = Ghd.evaluate ~ctx:(Relalg.Ctx.create ~stats ()) db cq in
+      let peak = Relalg.Stats.max_cardinality stats in
+      dense_peak := max !dense_peak peak;
+      let same = Relation.equal_modulo_order (bucket_result db cq) forced in
+      if (not same) || peak > dense_row_ceiling then begin
+        incr dense_failures;
+        Printf.eprintf "DENSE FAIL: %s identical=%b max_cardinality=%d\n%!"
+          name same peak
+      end)
+    dense_cells;
+  let dense_ok = !dense_failures = 0 in
+  Printf.printf
+    "dense panel (order 16, d=6,7): %d cells, %d failures, max_cardinality \
+     %d (ceiling %d)\n%!"
+    (List.length dense_cells) !dense_failures !dense_peak dense_row_ceiling;
+  (* ---------------------------------------------------------------- *)
   (* Warn-only parallel sweep check: gated evaluation of every identity
      cell through the adaptive sweep fan-out, 1 domain vs 4.           *)
   let eval_cell (_, mode, seed, g) =
@@ -220,7 +271,7 @@ let () =
      else if par_enforced then "   FAIL: jobs=4 slower (gate)"
      else "   WARNING: jobs=4 slower (warn-only: <4 cores)");
   let pass =
-    identical && speedup_ok && sweep_identical
+    identical && speedup_ok && dense_ok && sweep_identical
     && ((not par_enforced) || sweep_parallel_ok)
   in
   let verdict =
@@ -242,6 +293,10 @@ let () =
         ("ghd_seconds", Float ghd_s);
         ("speedup", Float speedup);
         ("threshold", Float threshold);
+        ("dense_cells", Int (List.length dense_cells));
+        ("dense_failures", Int !dense_failures);
+        ("dense_max_cardinality", Int !dense_peak);
+        ("dense_row_ceiling", Int dense_row_ceiling);
         ("speedup_enforced", Bool enforced);
         ("sweep_jobs1_seconds", Float jobs1_s);
         ("sweep_jobs4_seconds", Float jobs4_s);
@@ -263,6 +318,13 @@ let () =
   if not identical then begin
     Printf.eprintf
       "FAIL: decomposition output differs from bucket elimination\n";
+    exit 1
+  end;
+  if not dense_ok then begin
+    Printf.eprintf
+      "FAIL: dense panel: %d cells differ from bucket elimination or \
+       exceed %d rows\n"
+      !dense_failures dense_row_ceiling;
     exit 1
   end;
   if not sweep_identical then begin

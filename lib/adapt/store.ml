@@ -71,15 +71,12 @@ let hits t = Atomic.get t.hits
 let samples t = Atomic.get t.total_samples
 
 (* ------------------------------------------------------------------ *)
-(* Persistence — the plan cache's discipline: self-describing header,
-   silent rejection of anything the running binary did not write,
+(* Persistence — the plan cache's discipline ({!Snapshot}): a digested
+   body, silent rejection of anything the running binary did not write,
    atomic replace. Entries are plain (key, logf, samples) triples. *)
 
 let magic = "ppr-feedback\n"
-let format_version = 1
-
-let self_digest () =
-  try Digest.file Sys.executable_name with Sys_error _ -> Digest.string "ppr"
+let format_version = 2
 
 let save t path =
   let entries =
@@ -89,53 +86,22 @@ let save t path =
           t.table [])
     |> List.sort compare
   in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic;
-      Marshal.to_channel oc (format_version, self_digest ()) [];
-      Marshal.to_channel oc (List.length entries) [];
-      List.iter (fun entry -> Marshal.to_channel oc entry []) entries);
-  Sys.rename tmp path;
+  Snapshot.write ~magic ~version:format_version path entries;
   List.length entries
 
 let load t path =
-  match open_in_bin path with
-  | exception Sys_error _ -> 0
-  | ic -> (
-    let read () =
-      let m = really_input_string ic (String.length magic) in
-      if m <> magic then None
-      else
-        let version, digest = (Marshal.from_channel ic : int * Digest.t) in
-        if
-          version <> format_version
-          || not (Digest.equal digest (self_digest ()))
-        then None
-        else begin
-          (* Decode everything before touching the store: a snapshot
-             that dies mid-file must not leave a half-merged prefix. *)
-          let n = (Marshal.from_channel ic : int) in
-          let entries = ref [] in
-          for _ = 1 to n do
-            let key, logf, samples =
-              (Marshal.from_channel ic : string * float * int)
-            in
-            if Float.is_finite logf && samples > 0 then
-              entries := (key, logf, samples) :: !entries
-          done;
-          locked t (fun () ->
-              List.iter
-                (fun (key, logf, samples) ->
-                  if not (Hashtbl.mem t.table key) then
-                    Hashtbl.add t.table key { logf; samples })
-                !entries);
-          Some (List.length !entries)
-        end
+  match Snapshot.read ~magic ~version:format_version path with
+  | None -> 0
+  | Some (entries : (string * float * int) list) ->
+    let entries =
+      List.filter
+        (fun (_, logf, samples) -> Float.is_finite logf && samples > 0)
+        entries
     in
-    match Fun.protect ~finally:(fun () -> close_in_noerr ic) read with
-    | Some n -> n
-    | None -> 0
-    | exception _ -> 0)
+    locked t (fun () ->
+        List.iter
+          (fun (key, logf, samples) ->
+            if not (Hashtbl.mem t.table key) then
+              Hashtbl.add t.table key { logf; samples })
+          entries);
+    List.length entries

@@ -52,13 +52,15 @@ val samples : t -> int
 
 val save : t -> string -> int
 (** Write a snapshot (atomically: tmp file, then rename), returning the
-    number of entries written. The header carries a magic string, the
-    format version and the digest of the running executable, so only the
-    binary that wrote a snapshot trusts it. *)
+    number of entries written. The {!Snapshot} header carries a magic
+    string, the format version, the digest of the running executable and
+    the digest of the body, so only the binary that wrote a snapshot
+    trusts it, and only intact. *)
 
 val load : t -> string -> int
 (** Merge a snapshot's entries into the store (snapshot factors seed
     keys the store has not seen; keys already present keep their live
     value), returning the number of entries read. A missing file, a
-    foreign or stale snapshot, or any decode error loads nothing and
-    returns [0] — a bad snapshot must never poison a fresh daemon. *)
+    foreign, stale or corrupted snapshot, or any decode error loads
+    nothing and returns [0] — a bad snapshot must never poison a fresh
+    daemon. *)

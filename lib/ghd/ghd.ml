@@ -5,10 +5,7 @@ module Hypertree = Hypergraphs.Hypertree
 module Jointree = Hypergraphs.Jointree
 module Yannakakis = Hypergraphs.Yannakakis
 module Cq = Conjunctive.Cq
-module Database = Conjunctive.Database
 module Relation = Relalg.Relation
-module Schema = Relalg.Schema
-module Ops = Relalg.Ops
 module Ctx = Relalg.Ctx
 module Limits = Relalg.Limits
 module Agm = Wcoj.Agm
@@ -25,7 +22,7 @@ type prep = {
   htw : int;
   parent : int array;
   order : int list;
-  assignment : int array;
+  bag_atoms : int list array;
   var_order : int list;
   agm : Agm.t;
   induced_width : int;
@@ -146,30 +143,29 @@ let root_tree tree =
   done;
   (parent, !order)
 
-(* Every atom must be enforced inside a bag CONTAINING its whole edge
-   (projecting a partially-covered atom would leak tuples). Prefer a bag
-   whose cover already joins the atom — enforcement is then free. *)
-let assign_atoms hg htd =
-  let nb = Array.length htd.Hypertree.chi in
-  Array.init (Hypergraph.edge_count hg) (fun j ->
-      let e = Hypergraph.edge hg j in
-      let in_lambda = ref (-1) and anywhere = ref (-1) in
-      for b = nb - 1 downto 0 do
-        if Iset.subset e htd.Hypertree.chi.(b) then begin
-          anywhere := b;
-          if List.mem j htd.Hypertree.lambda.(b) then in_lambda := b
-        end
-      done;
-      if !in_lambda >= 0 then !in_lambda
-      else if !anywhere >= 0 then !anywhere
-      else invalid_arg "Ghd: hyperedge contained in no bag")
+(* The atoms each bag's generic join enforces: its lambda cover plus
+   every atom whose edge lies inside chi. Enforcing an atom in more than
+   one bag is sound — every bag still holds the projection of every full
+   solution — and each atom lies inside some bag of a valid GHD, so every
+   atom is enforced somewhere. A partially-covered atom outside lambda
+   must stay out: projecting it would leak tuples. *)
+let bag_atoms hg htd =
+  let atoms = List.init (Hypergraph.edge_count hg) Fun.id in
+  Array.mapi
+    (fun b chi ->
+      let lambda = htd.Hypertree.lambda.(b) in
+      List.filter
+        (fun j -> List.mem j lambda || Iset.subset (Hypergraph.edge hg j) chi)
+        atoms)
+    htd.Hypertree.chi
 
 (* ------------------------------------------------------------------ *)
 (* The three-bound gate.                                               *)
 
 (* fhtw-scale cost: the largest bag materialization, bounded per bag by
-   the fractional edge cover of its lambda atoms (the exact subquery
-   the evaluator joins). *)
+   the fractional edge cover of its lambda atoms. The evaluator joins
+   those atoms plus every other atom inside the bag, which can only
+   shrink the bag below this bound. *)
 let bag_bound_log2 db cq decomposition =
   let atoms = Array.of_list cq.Cq.atoms in
   Array.fold_left
@@ -200,7 +196,7 @@ let prepare ?rng db cq =
   let decomposition = search ?rng hg in
   let htw = Hypertree.width decomposition in
   let parent, order = root_tree decomposition.Hypertree.tree in
-  let assignment = assign_atoms hg decomposition in
+  let bag_atoms = bag_atoms hg decomposition in
   let ghd_bound_log2 = bag_bound_log2 db cq decomposition in
   let decision =
     match Sys.getenv_opt "PPR_GHD_GATE" with
@@ -212,8 +208,8 @@ let prepare ?rng db cq =
          route can materialize. Ties prefer the cheapest machinery
          (bucket), then the generic join: when the best bag costs as
          much as the whole-query AGM bound (dense queries collapse to
-         one bag), the variable-at-a-time join prunes within that bound
-         while the bag would materialize its full cover join first. *)
+         one bag), that bag's generic join does the whole query's work
+         and the decomposition only adds its sweeps on top. *)
       let b = base.Wcoj.binary_bound_log2 in
       let g = base.Wcoj.agm.Agm.bound_log2 in
       let h = ghd_bound_log2 in
@@ -224,7 +220,7 @@ let prepare ?rng db cq =
     htw;
     parent;
     order;
-    assignment;
+    bag_atoms;
     var_order = base.Wcoj.order;
     agm = base.Wcoj.agm;
     induced_width = base.Wcoj.induced_width;
@@ -235,58 +231,55 @@ let prepare ?rng db cq =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The evaluator: materialize bags, run the Yannakakis sweeps.          *)
+(* The evaluator: one generic join per bag, then the Yannakakis sweeps. *)
 
-let materialize_bag ~ctx ~rels ~assignment htd b =
-  let lambda = htd.Hypertree.lambda.(b) in
-  let joined =
-    match lambda with
-    | [] -> invalid_arg "Ghd: bag with an empty cover"
-    | e0 :: rest ->
-      List.fold_left
-        (fun acc e -> Ops.natural_join ~ctx acc rels.(e))
-        rels.(e0) rest
-  in
-  (* Enforce the assigned atoms that are not already join factors: their
-     variables all lie inside the joined schema, so a semijoin filters
-     exactly the tuples violating them. Without this, the projected bag
-     is a superset and the sweeps would overcount. *)
-  let joined = ref joined in
-  Array.iteri
-    (fun j b' ->
-      if b' = b && not (List.mem j lambda) then
-        joined := Ops.semijoin ~ctx !joined rels.(j))
-    assignment;
-  let chi = htd.Hypertree.chi.(b) in
-  let target =
-    Schema.restrict (Relation.schema !joined) ~keep:(fun v -> Iset.mem v chi)
-  in
-  Ops.project ~ctx !joined target
+let with_span ctx name attrs f =
+  match Ctx.telemetry ctx with
+  | None -> f None
+  | Some t -> Telemetry.with_span ~attrs t name (fun s -> f (Some s))
+
+(* The bag's sub-query: its atoms projected onto chi, which lambda
+   covers. Cover atoms may reach outside chi; the generic join searches
+   those variables for one witness per chi binding. *)
+let bag_query atoms chi js =
+  Cq.make ~atoms:(List.map (fun j -> atoms.(j)) js) ~free:(Iset.elements chi)
 
 (* Shared front half of both evaluation modes: validate the prep, tick
-   fuel, and materialize every bag (inside the given [span]). *)
-let prepared_bags ~ctx ~span ~prep db cq =
+   fuel, and materialize every bag in its own [op.ghd.bag] span. *)
+let prepared_bags ~ctx ~prep db cq =
   let atoms = Array.of_list cq.Cq.atoms in
-  if Array.length prep.assignment <> Array.length atoms then
+  let n = Array.length atoms in
+  let enforced = Array.make n false in
+  Array.iter
+    (List.iter (fun j ->
+         if j >= n then invalid_arg "Ghd: prep does not match the query";
+         enforced.(j) <- true))
+    prep.bag_atoms;
+  if not (Array.for_all Fun.id enforced) then
     invalid_arg "Ghd: prep does not match the query";
   (match Ctx.limits ctx with
   | Some l -> Limits.tick_operator l
   | None -> ());
   let htd = prep.decomposition in
-  let nb = Array.length htd.Hypertree.chi in
-  let rels = Array.map (fun a -> Database.eval_atom ~ctx db a) atoms in
-  Array.init nb (fun b ->
-      span "op.ghd.bag"
+  Array.mapi
+    (fun b js ->
+      with_span ctx "op.ghd.bag"
         [
           ("bag", Telemetry.Attr.Int b);
           ("cover", Telemetry.Attr.Int (List.length htd.Hypertree.lambda.(b)));
+          ("atoms", Telemetry.Attr.Int (List.length js));
         ]
-        (fun () -> materialize_bag ~ctx ~rels ~assignment:prep.assignment htd b))
-
-let span_of_ctx ctx =
-  match Ctx.telemetry ctx with
-  | None -> fun _name _attrs f -> f ()
-  | Some t -> fun name attrs f -> Telemetry.with_span ~attrs t name (fun _ -> f ())
+        (fun span ->
+          let rel =
+            Wcoj.evaluate ~ctx db (bag_query atoms htd.Hypertree.chi.(b) js)
+          in
+          Option.iter
+            (fun s ->
+              Telemetry.Span.set_attr s "rows"
+                (Telemetry.Attr.Int (Relation.cardinality rel)))
+            span;
+          rel))
+    prep.bag_atoms
 
 let eval_attrs ~prep ~cq nb =
   [
@@ -305,9 +298,9 @@ let incr_counter ctx name =
 let evaluate ?(ctx = Ctx.null) ?prep db cq =
   let prep = match prep with Some p -> p | None -> prepare db cq in
   let nb = Array.length prep.decomposition.Hypertree.chi in
-  span_of_ctx ctx "op.ghd.eval" (eval_attrs ~prep ~cq nb) @@ fun () ->
+  with_span ctx "op.ghd.eval" (eval_attrs ~prep ~cq nb) @@ fun _ ->
   incr_counter ctx "ops.ghd";
-  let bags = prepared_bags ~ctx ~span:(span_of_ctx ctx) ~prep db cq in
+  let bags = prepared_bags ~ctx ~prep db cq in
   Yannakakis.sweeps ~ctx ~parent:prep.parent ~order:prep.order
     ~vars:prep.decomposition.Hypertree.chi ~free:cq.Cq.free bags
 
@@ -319,8 +312,8 @@ let enumerate ?(ctx = Ctx.null) ?prep db cq =
      this returns; the iterator it yields touches only the prebuilt
      indexes, so no span is left open across consumer pulls (cursors
      outlive any span scope). *)
-  span_of_ctx ctx "op.ghd.enumerate" (eval_attrs ~prep ~cq nb) @@ fun () ->
+  with_span ctx "op.ghd.enumerate" (eval_attrs ~prep ~cq nb) @@ fun _ ->
   incr_counter ctx "ops.ghd";
-  let bags = prepared_bags ~ctx ~span:(span_of_ctx ctx) ~prep db cq in
+  let bags = prepared_bags ~ctx ~prep db cq in
   Yannakakis.enumerate ~ctx ~parent:prep.parent ~order:prep.order
     ~free:cq.Cq.free bags

@@ -5,10 +5,10 @@
     existing machinery: {!search} finds a generalized hypertree
     decomposition (the GYO join tree directly for acyclic queries, a
     bounded-width elimination search otherwise), {!evaluate} materializes
-    each bag by joining its covering [lambda] atoms through the execution
-    context, enforces every remaining atom with a semijoin inside a bag
-    containing it, and runs the {!Hypergraphs.Yannakakis.sweeps} over the
-    bag tree — making Yannakakis total on cyclic queries. {!prepare}
+    each bag with one worst-case-optimal generic join ({!Wcoj.evaluate})
+    over its covering [lambda] atoms plus every atom lying inside the bag,
+    and runs the {!Hypergraphs.Yannakakis.sweeps} over the bag tree —
+    making Yannakakis total on cyclic queries. {!prepare}
     additionally computes the three-way structural gate: induced width
     (bucket elimination), the AGM fractional-cover bound (generic join)
     and the fractional-hypertree-scale bag bound, all on one log2-tuples
@@ -24,9 +24,10 @@ type prep = {
   htw : int;  (** its generalized hypertree width (largest cover) *)
   parent : int array;  (** rooted bag tree: parent of each bag, -1 at roots *)
   order : int list;  (** bags bottom-up (children before parents) *)
-  assignment : int array;
-      (** atom index -> bag whose chi contains the whole atom; the
-          evaluator enforces the atom there *)
+  bag_atoms : int list array;
+      (** per bag, ascending atom indices its generic join enforces: the
+          [lambda] cover plus every atom whose variables lie inside
+          [chi]. Every atom appears in at least one bag. *)
   var_order : int list;  (** MCS variable order, free variables first *)
   agm : Wcoj.Agm.t;  (** fractional edge cover of the whole query *)
   induced_width : int;
@@ -50,7 +51,7 @@ val bounds :
   ?rng:Graphlib.Rng.t -> Conjunctive.Database.t -> Conjunctive.Cq.t ->
   cost_bounds
 (** The three gate bounds of {!prepare} without the rest of the
-    artifact (rooted bag tree, atom assignment): what cost-aware
+    artifact (rooted bag tree, per-bag atoms): what cost-aware
     admission control needs {e before} committing to a compile. Pure —
     touches only relation cardinalities — and polynomial in the query
     size (the decomposition search runs, the evaluator does not). *)
@@ -66,8 +67,8 @@ val search :
 
 val prepare :
   ?rng:Graphlib.Rng.t -> Conjunctive.Database.t -> Conjunctive.Cq.t -> prep
-(** The planning half: decomposition, rooted bag tree, atom assignment
-    and the three-bound gate. Pure — touches only relation
+(** The planning half: decomposition, rooted bag tree, each bag's atom
+    list and the three-bound gate. Pure — touches only relation
     cardinalities. The [PPR_GHD_GATE] environment variable overrides the
     gate: ["bucket"], ["generic"] and ["ghd"] force a route; anything
     else (or unset) picks the smallest of [binary_bound_log2],
@@ -85,11 +86,13 @@ val evaluate :
     {!prepare} and must describe the {e same} query against the same
     database (the serving layer's plan cache replays stored preps so
     hits skip the GHD search). Tuple-identical to any correct plan:
-    each bag joins its cover atoms, every other atom is semijoin-enforced
-    in a bag containing it, and the three sweeps assemble the projected
-    answer. Everything flows through the context — [op.ghd.eval] span
-    with per-bag [op.ghd.bag] spans, the [ops.ghd] counter, limits,
-    stats, backend and pool apply to every operator.
+    each bag is one {!Wcoj.evaluate} call over [prep.bag_atoms], projected
+    onto [chi], so a bag never exceeds the AGM bound of its own atoms;
+    the three sweeps then assemble the projected answer. Everything flows
+    through the context — [op.ghd.eval] span with per-bag [op.ghd.bag]
+    spans (attributes [atoms] enforced and [rows] materialized, each with
+    an [op.wcoj.join] child), the [ops.ghd] and [ops.wcoj] counters,
+    limits, stats, backend and pool apply to every operator.
     @raise Relalg.Limits.Abort when a resource guard trips.
     @raise Invalid_argument when [prep] does not match the query.
     @raise Not_found if an atom names an unregistered relation. *)
@@ -101,7 +104,7 @@ val enumerate :
   Conjunctive.Cq.t ->
   Relalg.Schema.t * ((Relalg.Tuple.t -> unit) -> unit)
 (** The streaming counterpart of {!evaluate}: materialize the bags
-    exactly as {!evaluate} does, then hand them to
+    exactly as {!evaluate} does (one generic join per bag), then hand them to
     {!Hypergraphs.Yannakakis.enumerate} — semijoin reduction and index
     build up front (inside an [op.ghd.enumerate] span), followed by
     constant-delay backtracking enumeration from the reduced bag tree

@@ -118,17 +118,16 @@ let evictions t = Atomic.get t.evictions
 
 (* ------------------------------------------------------------------ *)
 (* Persistence. Entries are Marshal-ed artifacts, so a snapshot is only
-   trustworthy when read back by the very binary that wrote it: the
-   header carries a magic string, a format version and the digest of the
-   running executable, and [load] silently ignores any file that fails
-   a check (a stale snapshot must never poison a fresh daemon — the
-   worst outcome of a rejected file is a cold cache). *)
+   trustworthy when read back by the very binary that wrote it, intact:
+   {!Adapt.Snapshot} checks a magic string, the format version, the
+   digest of the running executable and the digest of the body, and
+   [load] silently ignores any file that fails a check (a stale
+   snapshot must never poison a fresh daemon — the worst outcome of a
+   rejected file is a cold cache). Version 2: [Ghd.prep] carries
+   per-bag atom lists. *)
 
 let magic = "ppr-plan-cache\n"
-let format_version = 1
-
-let self_digest () =
-  try Digest.file Sys.executable_name with Sys_error _ -> Digest.string "ppr"
+let format_version = 2
 
 (* Oldest-first, so replaying through [add] on load rebuilds the same
    LRU recency order (and, at capacity, evicts the same old entries). *)
@@ -145,41 +144,12 @@ let entries_by_recency t =
 
 let save t path =
   let entries = entries_by_recency t in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic;
-      Marshal.to_channel oc (format_version, self_digest ()) [];
-      Marshal.to_channel oc (List.length entries) [];
-      List.iter (fun entry -> Marshal.to_channel oc entry []) entries);
-  Sys.rename tmp path;
+  Adapt.Snapshot.write ~magic ~version:format_version path entries;
   List.length entries
 
 let load t path =
-  match open_in_bin path with
-  | exception Sys_error _ -> 0
-  | ic -> (
-    let read () =
-      let m = really_input_string ic (String.length magic) in
-      if m <> magic then None
-      else
-        let version, digest = (Marshal.from_channel ic : int * Digest.t) in
-        if version <> format_version || not (Digest.equal digest (self_digest ()))
-        then None
-        else begin
-          let n = (Marshal.from_channel ic : int) in
-          let count = ref 0 in
-          for _ = 1 to n do
-            let key, value = (Marshal.from_channel ic : string * _) in
-            ignore (add t key value);
-            incr count
-          done;
-          Some !count
-        end
-    in
-    match Fun.protect ~finally:(fun () -> close_in_noerr ic) read with
-    | Some n -> n
-    | None -> 0
-    | exception _ -> 0)
+  match Adapt.Snapshot.read ~magic ~version:format_version path with
+  | None -> 0
+  | Some (entries : (string * _) list) ->
+    List.iter (fun (key, value) -> ignore (add t key value)) entries;
+    List.length entries

@@ -43,8 +43,9 @@ val evictions : 'a t -> int
 val save : 'a t -> string -> int
 (** [save t path] snapshots every cached entry to [path] (atomically,
     via a [.tmp] rename), oldest-first so {!load} rebuilds the same LRU
-    order. The header records a format version and the digest of the
-    running executable. Returns the number of entries written.
+    order, through {!Adapt.Snapshot}: the header records a format
+    version, the digest of the running executable and the digest of the
+    body. Returns the number of entries written.
     @raise Sys_error when the file cannot be written. *)
 
 val load : 'a t -> string -> int
@@ -52,5 +53,6 @@ val load : 'a t -> string -> int
     number of entries restored — [0], never an exception, when the file
     is missing, truncated, corrupt, version-skewed or written by a
     different binary (artifacts are Marshal-ed, so a snapshot is only
-    valid for the executable that produced it). Counters are untouched:
+    valid for the executable that produced it, and the body's digest is
+    checked before anything is unmarshalled). Counters are untouched:
     restored entries count as neither hits nor misses. *)

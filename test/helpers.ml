@@ -54,6 +54,61 @@ let all_colorings ?(colors = 3) g ~keep =
   color 0;
   List.sort_uniq Stdlib.compare !results
 
+(* Every answer of a conjunctive query, by enumerating assignments of
+   its variables over the database's active domain: one row per
+   satisfying assignment restricted to [cq.free] (in that order), sorted
+   and deduplicated. Reads base relations only through
+   [Database.find]/[Relation.iter] — no atom evaluation, join or
+   decomposition code — so it is an oracle for every route. *)
+let brute_force_cq db cq =
+  let module Cq = Conjunctive.Cq in
+  let module Db = Conjunctive.Database in
+  let rows name =
+    let acc = ref [] in
+    Relalg.Relation.iter
+      (fun tup -> acc := Relalg.Tuple.to_list tup :: !acc)
+      (Db.find db name);
+    !acc
+  in
+  let base = List.map (fun name -> (name, rows name)) (Db.names db) in
+  let domain =
+    List.sort_uniq compare
+      (List.concat_map (fun (_, rs) -> List.concat rs) base)
+  in
+  let vars = Array.of_list (Cq.vars cq) in
+  let value = Hashtbl.create 16 in
+  let holds a =
+    List.mem
+      (List.map (Hashtbl.find value) a.Cq.vars)
+      (List.assoc a.Cq.rel base)
+  in
+  let results = ref [] in
+  let rec assign i =
+    if i = Array.length vars then begin
+      if List.for_all holds cq.Cq.atoms then
+        results := List.map (Hashtbl.find value) cq.Cq.free :: !results
+    end
+    else
+      List.iter
+        (fun d ->
+          Hashtbl.replace value vars.(i) d;
+          assign (i + 1))
+        domain
+  in
+  assign 0;
+  List.sort_uniq compare !results
+
+(* A relation's rows with columns read in [cols] order (engines may
+   order answer columns differently from the head), sorted and
+   deduplicated — comparable with {!brute_force_cq}. *)
+let rows_in_order cols rel =
+  let schema = Relalg.Relation.schema rel in
+  let column v = Relalg.Schema.index schema v in
+  List.sort_uniq compare
+    (List.map
+       (fun tup -> List.map (fun v -> Relalg.Tuple.get tup (column v)) cols)
+       (Relalg.Relation.to_sorted_list rel))
+
 (* ------------------------------------------------------------------ *)
 (* Instance generators.                                                *)
 
@@ -105,6 +160,25 @@ let check_rows msg expected rel =
 
 let qtest ?(count = 100) name arbitrary prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary prop)
+
+(* ------------------------------------------------------------------ *)
+(* Snapshot corruption.                                                *)
+
+(* Copies of the snapshot file at [path] with one bit flipped in its
+   body — everything after the magic and header lines — at the first,
+   a middle and the last body byte. *)
+let bit_flipped_bodies path =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  let body = String.index_from s (String.index s '\n' + 1) '\n' + 1 in
+  List.map
+    (fun i ->
+      let b = Bytes.of_string s in
+      Bytes.set b i (Char.chr (Char.code s.[i] lxor 0x10));
+      Bytes.to_string b)
+    [ body; (body + String.length s - 1) / 2; String.length s - 1 ]
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
 
 (* ------------------------------------------------------------------ *)
 (* Storage-backend matrix.                                             *)

@@ -149,6 +149,20 @@ let test_store_load_rejects_corrupt () =
   check_int "truncated snapshot ignored" 0 (Store.load s path);
   check_int "store still untouched" 0 (Store.size s)
 
+let test_store_load_rejects_bit_flip () =
+  with_temp_file @@ fun path ->
+  let good = Store.create () in
+  Store.observe good ~key:"k" ~measured:4.0 ~estimated:2.0;
+  Store.observe good ~key:"l" ~measured:9.0 ~estimated:3.0;
+  ignore (Store.save good path);
+  List.iter
+    (fun corrupt ->
+      write_file path corrupt;
+      let s = Store.create () in
+      check_int "bit-flipped snapshot ignored" 0 (Store.load s path);
+      check_int "store untouched" 0 (Store.size s))
+    (bit_flipped_bodies path)
+
 (* ------------------------------------------------------------------ *)
 (* Gradient order search                                               *)
 
@@ -404,6 +418,8 @@ let () =
              test_store_load_keeps_live_keys;
            Alcotest.test_case "corrupt rejected" `Quick
              test_store_load_rejects_corrupt;
+           Alcotest.test_case "bit flip rejected" `Quick
+             test_store_load_rejects_bit_flip;
          ] );
        ( "gradient",
          [

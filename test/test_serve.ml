@@ -285,6 +285,22 @@ let test_cache_load_rejects_corrupt () =
   check_int "missing file ignored" 0
     (Serve.Plan_cache.load c (path ^ ".does-not-exist"))
 
+let test_cache_load_rejects_bit_flip () =
+  let path = Filename.temp_file "ppr-cache-test" ".bin" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let good = Serve.Plan_cache.create () in
+  ignore (Serve.Plan_cache.add good "a" [ 1; 2; 3 ]);
+  ignore (Serve.Plan_cache.add good "b" [ 4; 5 ]);
+  ignore (Serve.Plan_cache.save good path);
+  List.iter
+    (fun corrupt ->
+      write_file path corrupt;
+      let c = Serve.Plan_cache.create () in
+      check_int "bit-flipped snapshot ignored" 0 (Serve.Plan_cache.load c path);
+      check_int "cache untouched" 0 (Serve.Plan_cache.size c))
+    (bit_flipped_bodies path)
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 
@@ -1259,6 +1275,8 @@ let () =
             test_cache_save_load_roundtrip;
           Alcotest.test_case "load rejects corrupt" `Quick
             test_cache_load_rejects_corrupt;
+          Alcotest.test_case "load rejects a bit flip" `Quick
+            test_cache_load_rejects_bit_flip;
         ] );
       ( "engine",
         [

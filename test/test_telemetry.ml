@@ -98,6 +98,9 @@ let test_span_nesting_well_formed () =
   let sink, spans = T.Sink.memory () in
   let t = T.create ~clock:(ticking_clock ()) sink in
   ignore (run_pentagon ~telemetry:t ());
+  ignore
+    (Ghd.evaluate ~ctx:(Relalg.Ctx.create ~telemetry:t ()) coloring_db
+       pentagon_cq);
   T.close t;
   let spans = spans () in
   check_bool "spans recorded" true (List.length spans > 5);
@@ -117,8 +120,22 @@ let test_span_nesting_well_formed () =
         check_bool "join has arity.out" true (Span.attr s "arity.out" <> None);
         check_bool "join has hash.probes" true
           (Span.attr s "hash.probes" <> None)
+      end;
+      (* Each GHD bag reports what it enforced and what it measured, and
+         runs as one generic join nested under the bag span. *)
+      if Span.name s = "op.ghd.bag" then begin
+        check_bool "bag has atoms" true (Span.attr s "atoms" <> None);
+        (match Span.attr s "rows" with
+        | Some (Attr.Int n) -> check_bool "bag rows >= 0" true (n >= 0)
+        | _ -> Alcotest.fail "bag span lacks an integer rows attribute");
+        check_bool "bag has an op.wcoj.join child" true
+          (List.exists
+             (fun c ->
+               Span.name c = "op.wcoj.join" && Span.parent c = Some (Span.id s))
+             spans)
       end)
-    spans
+    spans;
+  check_bool "has op.ghd.bag" true (List.mem "op.ghd.bag" names)
 
 let test_span_unwinding_marks_spans () =
   let sink, spans = T.Sink.memory () in
