@@ -1,7 +1,7 @@
-(* Tiny JSON reader shared by the benchmark gate tools (compare.exe,
-   parallel.exe). Telemetry.Json only emits JSON, so the gates bring
-   their own small recursive-descent parser — which also keeps them
-   independent from the writer they check. *)
+(* Tiny JSON reader shared by the benchmark gate tools (parallel_bench,
+   wcoj_bench, ghd_bench and the rest). Telemetry.Json only emits JSON,
+   so the gates bring their own small recursive-descent parser — which
+   also keeps them independent from the writer they check. *)
 
 type json =
   | Null

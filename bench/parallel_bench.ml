@@ -1,4 +1,4 @@
-(* Parallel-join gate: time one large columnar natural join sequentially
+(* Parallel-join gate: time one large natural join sequentially
    and through a domain pool, require the outputs to be identical, and
    append the verdict to BENCH_results.json under "parallel_comparison".
 
@@ -65,10 +65,7 @@ let scramble x =
   x lxor (x lsr 16)
 
 let build_side ~schema ~salt ~key_col n =
-  let rel =
-    Relalg.Relation.create ~backend:Relalg.Relation.Columnar ~size_hint:n
-      schema
-  in
+  let rel = Relalg.Relation.create ~size_hint:n schema in
   for i = 0 to n - 1 do
     let key = scramble (i * 2 + salt) mod n in
     let payload = i in

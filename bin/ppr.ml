@@ -242,16 +242,6 @@ let metrics_arg =
           "After the run, print the metric registry (operator counters, \
            join fan-out histogram, abort tallies) to standard output.")
 
-let backend_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Relation storage backend: 'columnar' (the default; flat tuple \
-           arena with specialized join kernels) or 'row' (hashtable of \
-           boxed tuples).")
-
 (* --jobs: degree of parallelism. PPR_JOBS supplies the default so CI
    can matrix the whole test/bench entry points without editing every
    invocation; an explicit flag wins. 0 means one domain per core. *)
@@ -300,20 +290,6 @@ let apply_planner planner meth =
     when name <> "genetic" ->
     Ppr_core.Driver.Naive (Ppr_core.Naive.Plugin (name, threshold))
   | _ -> meth
-
-(* Run the rest of the command under the named default backend — the
-   scoped bracket replaced the old process-wide setter, so the CLI
-   brackets its whole body (base data loads under the chosen layout;
-   per-run overrides still go through [Ctx.create ~backend]). *)
-let with_backend backend f =
-  match backend with
-  | None -> f ()
-  | Some name -> (
-    match Relalg.Relation.backend_of_string name with
-    | Some b -> Relalg.Relation.with_default_backend b f
-    | None ->
-      failwith
-        (Printf.sprintf "unknown backend %S (want 'row' or 'columnar')" name))
 
 (* Build a telemetry context from the flags, hand it to the body, and
    flush it afterwards — also when the body raises, so aborted runs
@@ -398,9 +374,8 @@ let run_cmd =
            spec)
   in
   let run family order density seed free_fraction meth max_tuples deadline fuel
-      use_ladder chaos trace metrics backend jobs planner =
+      use_ladder chaos trace metrics jobs planner =
     guarded @@ fun () ->
-    with_backend backend @@ fun () ->
     let pool = make_pool jobs in
     with_telemetry ~trace ~metrics @@ fun telemetry ->
     let db, cq = build_instance family ~order ~density ~seed ~free_fraction in
@@ -464,8 +439,7 @@ let run_cmd =
     Term.(
       const run $ family_arg $ order_arg $ density_arg $ seed_arg
       $ free_fraction_arg $ method_arg $ max_tuples $ deadline $ fuel
-      $ ladder $ chaos $ trace_arg $ metrics_arg $ backend_arg $ jobs_arg
-      $ planner_arg)
+      $ ladder $ chaos $ trace_arg $ metrics_arg $ jobs_arg $ planner_arg)
 
 (* ------------------------------------------------------------------ *)
 (* treewidth                                                           *)
@@ -582,8 +556,7 @@ let experiment_cmd =
              plus GHD-Yannakakis (all six columns when omitted), a baseline \
              name reproduces the paper's original four-column panels.")
   in
-  let run figure scale seeds csv backend jobs meth =
-    with_backend backend @@ fun () ->
+  let run figure scale seeds csv jobs meth =
     (match meth with
     | Some m -> (
       try Experiments.Figures.restrict_methods m
@@ -607,8 +580,8 @@ let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce one of the paper's figures.")
     Term.(
-      const run $ figure_arg $ scale_arg $ seeds_arg $ csv_arg $ backend_arg
-      $ jobs_arg $ meth_arg)
+      const run $ figure_arg $ scale_arg $ seeds_arg $ csv_arg $ jobs_arg
+      $ meth_arg)
 
 (* ------------------------------------------------------------------ *)
 (* query: run an arbitrary Datalog-style query                         *)
@@ -704,9 +677,8 @@ let query_cmd =
       | c -> c
   in
   let run query_text query_file data_dir meth show_sql limit rank page trace
-      metrics backend jobs planner =
+      metrics jobs planner =
     guarded @@ fun () ->
-    with_backend backend @@ fun () ->
     let pool = make_pool jobs in
     with_telemetry ~trace ~metrics @@ fun telemetry ->
     let source =
@@ -865,8 +837,8 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Run a Datalog-style project-join query.")
     Term.(
       const run $ query_text $ query_file $ data_dir $ method_arg $ sql_flag
-      $ limit_arg $ rank_arg $ page_arg $ trace_arg $ metrics_arg
-      $ backend_arg $ jobs_arg $ planner_arg)
+      $ limit_arg $ rank_arg $ page_arg $ trace_arg $ metrics_arg $ jobs_arg
+      $ planner_arg)
 
 (* ------------------------------------------------------------------ *)
 (* acyclic: hypergraph structure report                                *)

@@ -165,8 +165,13 @@ let order ?(params = default_params) env atoms =
       end;
       c
     in
+    (* The genetic planner's own order is a starting point, so the
+       search never returns anything costlier than the planner it
+       replaces. *)
     let inits =
-      greedy_order env atoms :: Array.init m Fun.id
+      greedy_order env atoms
+      :: Naive.genetic_order Naive.default_genetic env atoms
+      :: Array.init m Fun.id
       :: List.init (max 0 params.restarts) (fun _ ->
              let p = Array.init m Fun.id in
              Rng.shuffle rng p;

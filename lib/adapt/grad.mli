@@ -5,16 +5,18 @@
     a real vector over the atoms decodes to the order that sorts scores
     descending, Gumbel perturbations of the scores induce a smoothed
     (Plackett–Luce) distribution over permutations, and a score-function
-    gradient of the expected log-cost moves the scores downhill. Greedy
-    and random restarts plus a swap/insertion polish make the search
-    robust on small instances, where it should never lose to the
-    genetic pool. The plan space is exactly the genetic planner's —
+    gradient of the expected log-cost moves the scores downhill. Greedy,
+    genetic ({!Ppr_core.Naive.default_genetic}) and random restarts plus
+    a swap/insertion polish make the search robust; since the genetic
+    order is one of its starting points, it never returns a costlier
+    order than the genetic planner. The plan space is exactly the genetic planner's —
     left-deep scan orders — so swapping planners can only change the
     order, never the answer. *)
 
 type params = {
   seed : int;  (** base seed; the search derives its own streams *)
-  restarts : int;  (** random restarts beyond the greedy + identity inits *)
+  restarts : int;
+      (** random restarts beyond the greedy, genetic and identity inits *)
   steps : int;  (** gradient steps per restart *)
   batch : int;  (** Gumbel perturbations per gradient estimate *)
   learning_rate : float;

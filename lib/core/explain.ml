@@ -40,12 +40,7 @@ let analyze ?(ctx = Relalg.Ctx.null) ?feedback db plan =
       | Plan.Join (l, r) ->
         let nl, rl = go l in
         let nr, rr = go r in
-        let join =
-          match Relalg.Ctx.join_algorithm ctx with
-          | Relalg.Ctx.Hash -> Ops.natural_join ~ctx
-          | Relalg.Ctx.Merge -> Ops.merge_join ~ctx
-        in
-        ([ nl; nr ], join rl rr)
+        ([ nl; nr ], Ops.natural_join ~ctx rl rr)
       | Plan.Project (sub, kept) ->
         let nsub, rsub = go sub in
         let target =

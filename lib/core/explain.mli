@@ -19,7 +19,7 @@ val analyze :
   ?ctx:Relalg.Ctx.t -> ?feedback:Cost.feedback ->
   Conjunctive.Database.t -> Plan.t -> node * Relalg.Relation.t
 (** Execute the plan, collecting one annotated node per operator. The
-    context supplies the join algorithm, limits and backend; [feedback]
+    context supplies limits, stats and telemetry; [feedback]
     annotates with {e corrected} estimates (see {!Cost.environment}),
     so the explain view shows what an adaptive planner would believe.
     @raise Relalg.Limits.Exceeded as {!Exec.run} does (partial output is

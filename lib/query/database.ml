@@ -57,9 +57,7 @@ let eval_atom ?(ctx = Relalg.Ctx.null) t atom =
     !ok
   in
   let out =
-    Relation.create ~backend:(Relalg.Ctx.backend ctx)
-      ~size_hint:(Relation.cardinality base)
-      out_schema
+    Relation.create ~size_hint:(Relation.cardinality base) out_schema
   in
   Relation.iter
     (fun tup -> if consistent tup then ignore (Relation.add out (Tuple.project tup keep)))

@@ -114,8 +114,8 @@ let take c k =
   in
   go k []
 
-let to_relation ?backend c =
-  let out = Relation.create ?backend c.schema in
+let to_relation c =
+  let out = Relation.create c.schema in
   iter (fun tup -> ignore (Relation.add out tup)) c;
   out
 

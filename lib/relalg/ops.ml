@@ -75,16 +75,16 @@ let finish_unary sp r out =
     Telemetry.stop t sp
 
 (* ------------------------------------------------------------------ *)
-(* Columnar hash-join kernel.
+(* Hash-join kernel.
 
-   When both inputs and the output are arena-backed, the join never
-   materializes a tuple: the build index hashes the key columns straight
-   out of the build arena (slots hold [row + 1]; rows with equal keys are
-   chained through [next]), probes hash the probe arena's key columns in
-   place, and matches are written cell-by-cell into staged rows of the
-   output arena, committed with a single dedup hash. The single-attribute
-   key case — the common one for the paper's coloring queries — gets its
-   own loops with the FNV step inlined on one value. *)
+   The join never materializes a tuple: the build index hashes the key
+   columns straight out of the build arena (slots hold [row + 1]; rows
+   with equal keys are chained through [next]), probes hash the probe
+   arena's key columns in place, and matches are written cell-by-cell
+   into staged rows of the output arena, committed with a single dedup
+   hash. The single-attribute key case — the common one for the paper's
+   coloring queries — gets its own loops with the FNV step inlined on
+   one value. *)
 
 let fnv_seed = 0x1000193
 let fnv_prime = 0x100000001b3
@@ -92,7 +92,7 @@ let hash1 v = ((fnv_seed lxor v) * fnv_prime) land max_int
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
 
-let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
+let hash_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   let build_on_r = Arena.count ar <= Arena.count as_ in
   let ab, key_b = if build_on_r then (ar, key_r) else (as_, key_s) in
   let ap, key_p = if build_on_r then (as_, key_s) else (ar, key_r) in
@@ -228,7 +228,7 @@ let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
    Equal keys hash equally, so matching rows always land in the same
    shard and the union of the shard joins is exactly the sequential
    join's tuple set; within a shard the kernel is the same
-   build-on-smaller chained-bucket hash join as [columnar_join].
+   build-on-smaller chained-bucket hash join as [hash_join].
 
    Sharding uses a Fibonacci remix of the key hash's high bits while the
    in-shard table indexes with the low bits ([land mask]), so the two
@@ -246,7 +246,7 @@ let shard_of h p = ((h * 0x9e3779b97f4a7c1) land max_int) lsr 30 mod p
 
 exception Shard_cut
 
-let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
+let parallel_hash_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   let nr = Arena.count ar and ns = Arena.count as_ in
   let dr = Arena.data ar and wr = Arena.arity ar in
   let ds = Arena.data as_ and ws = Arena.arity as_ in
@@ -453,48 +453,24 @@ let natural_join ?(ctx = Ctx.null) r s =
   let key_s = Schema.positions common ss in
   let rest_s = Schema.positions (Schema.diff ss sr) ss in
   let out =
-    Relation.create ~backend:(Ctx.backend ctx)
+    Relation.create
       ~size_hint:(max 16 (max (Relation.cardinality r) (Relation.cardinality s)))
       out_schema
   in
-  (match (Relation.arena r, Relation.arena s, Relation.arena out) with
-  | Some ar, Some as_, Some aout -> (
-    match Ctx.pool ctx with
-    | Some pool
-      when Pool.size pool > 1
-           && Array.length key_r > 0
-           && Arena.count ar + Arena.count as_ >= Pool.grain pool ->
-      parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s;
-      (match sp with
-      | Some (_, sp) ->
-        Telemetry.Span.set_attr sp "parallel.shards"
-          (Telemetry.Attr.Int (Pool.size pool))
-      | None -> ())
-    | _ -> columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s)
-  | _ ->
-    let emit tr ts =
-      guarded_add limits out (Tuple.concat tr (Tuple.project ts rest_s))
-    in
-    let build_on_r = Relation.cardinality r <= Relation.cardinality s in
-    let build, build_key = if build_on_r then (r, key_r) else (s, key_s) in
-    let probe, probe_key = if build_on_r then (s, key_s) else (r, key_r) in
-    let table = Key_table.create (max 16 (Relation.cardinality build)) in
-    Relation.iter
-      (fun tup ->
-        let key = Tuple.project tup build_key in
-        let bucket = try Key_table.find table key with Not_found -> [] in
-        Key_table.replace table key (tup :: bucket))
-      build;
-    Relation.iter
-      (fun tup ->
-        let key = Tuple.project tup probe_key in
-        match Key_table.find_opt table key with
-        | None -> ()
-        | Some bucket ->
-          List.iter
-            (fun mate -> if build_on_r then emit mate tup else emit tup mate)
-            bucket)
-      probe);
+  let ar = Relation.arena r and as_ = Relation.arena s in
+  let aout = Relation.arena out in
+  (match Ctx.pool ctx with
+  | Some pool
+    when Pool.size pool > 1
+         && Array.length key_r > 0
+         && Arena.count ar + Arena.count as_ >= Pool.grain pool ->
+    parallel_hash_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s;
+    (match sp with
+    | Some (_, sp) ->
+      Telemetry.Span.set_attr sp "parallel.shards"
+        (Telemetry.Attr.Int (Pool.size pool))
+    | None -> ())
+  | _ -> hash_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s);
   note_result stats limits out;
   finish_join sp r s out;
   out
@@ -503,62 +479,6 @@ let product ?ctx r s =
   if not (Schema.is_disjoint (Relation.schema r) (Relation.schema s)) then
     invalid_arg "Ops.product: schemas intersect";
   natural_join ?ctx r s
-
-(* Sort-merge join: sort both sides by their shared-attribute key, then
-   sweep matching runs. Output matches [natural_join] exactly. *)
-let merge_join ?(ctx = Ctx.null) r s =
-  let stats = Ctx.stats ctx and limits = Ctx.limits ctx in
-  let sp = span (Ctx.telemetry ctx) "op.join.merge" in
-  tick limits;
-  Option.iter Stats.record_join stats;
-  let sr = Relation.schema r and ss = Relation.schema s in
-  let common = Schema.inter sr ss in
-  let out_schema = Schema.union sr ss in
-  let key_r = Schema.positions common sr in
-  let key_s = Schema.positions common ss in
-  let rest_s = Schema.positions (Schema.diff ss sr) ss in
-  let sorted rel key =
-    let rows = Array.of_list (Relation.to_list rel) in
-    let by_key a b = Tuple.compare (Tuple.project a key) (Tuple.project b key) in
-    Array.sort by_key rows;
-    rows
-  in
-  let rows_r = sorted r key_r and rows_s = sorted s key_s in
-  let out =
-    Relation.create ~backend:(Ctx.backend ctx)
-      ~size_hint:(max 16 (max (Array.length rows_r) (Array.length rows_s)))
-      out_schema
-  in
-  let nr = Array.length rows_r and ns = Array.length rows_s in
-  let key_of rows key i = Tuple.project rows.(i) key in
-  let run_end rows key start =
-    let k = key_of rows key start in
-    let rec go i =
-      if i < Array.length rows && Tuple.equal (key_of rows key i) k then go (i + 1)
-      else i
-    in
-    go (start + 1)
-  in
-  let i = ref 0 and j = ref 0 in
-  while !i < nr && !j < ns do
-    let c = Tuple.compare (key_of rows_r key_r !i) (key_of rows_s key_s !j) in
-    if c < 0 then incr i
-    else if c > 0 then incr j
-    else begin
-      let i_end = run_end rows_r key_r !i and j_end = run_end rows_s key_s !j in
-      for a = !i to i_end - 1 do
-        for b = !j to j_end - 1 do
-          guarded_add limits out
-            (Tuple.concat rows_r.(a) (Tuple.project rows_s.(b) rest_s))
-        done
-      done;
-      i := i_end;
-      j := j_end
-    end
-  done;
-  note_result stats limits out;
-  finish_join sp r s out;
-  out
 
 let equijoin ?(ctx = Ctx.null) ~on r s =
   if not (Schema.is_disjoint (Relation.schema r) (Relation.schema s)) then
@@ -571,8 +491,7 @@ let equijoin ?(ctx = Ctx.null) ~on r s =
   let key_r = Array.of_list (List.map (fun (a, _) -> Schema.index sr a) on) in
   let key_s = Array.of_list (List.map (fun (_, b) -> Schema.index ss b) on) in
   let out =
-    Relation.create ~backend:(Ctx.backend ctx)
-      ~size_hint:(max 16 (Relation.cardinality r))
+    Relation.create ~size_hint:(max 16 (Relation.cardinality r))
       (Schema.union sr ss)
   in
   let table = Key_table.create (max 16 (Relation.cardinality s)) in
@@ -600,30 +519,23 @@ let project ?(ctx = Ctx.null) r sub =
   Option.iter Stats.record_projection stats;
   let positions = Schema.positions sub (Relation.schema r) in
   let out =
-    Relation.create ~backend:(Ctx.backend ctx)
-      ~size_hint:(max 16 (Relation.cardinality r))
-      sub
+    Relation.create ~size_hint:(max 16 (Relation.cardinality r)) sub
   in
-  (match (Relation.arena r, Relation.arena out) with
-  | Some ain, Some aout ->
-    (* Columnar: gather the kept columns of each row straight into a
-       staged output row — no intermediate tuple. *)
-    let d = Arena.data ain and w = Arena.arity ain in
-    let np = Array.length positions in
-    for row = 0 to Arena.count ain - 1 do
-      let base = row * w in
-      let obase = Arena.stage aout in
-      let od = Arena.data aout in
-      for k = 0 to np - 1 do
-        Array.unsafe_set od (obase + k)
-          (Array.unsafe_get d (base + Array.unsafe_get positions k))
-      done;
-      if Arena.commit_staged aout then charge_new limits out
-    done
-  | _ ->
-    Relation.iter
-      (fun tup -> guarded_add limits out (Tuple.project tup positions))
-      r);
+  (* Gather the kept columns of each row straight into a staged output
+     row — no intermediate tuple. *)
+  let ain = Relation.arena r and aout = Relation.arena out in
+  let d = Arena.data ain and w = Arena.arity ain in
+  let np = Array.length positions in
+  for row = 0 to Arena.count ain - 1 do
+    let base = row * w in
+    let obase = Arena.stage aout in
+    let od = Arena.data aout in
+    for k = 0 to np - 1 do
+      Array.unsafe_set od (obase + k)
+        (Array.unsafe_get d (base + Array.unsafe_get positions k))
+    done;
+    if Arena.commit_staged aout then charge_new limits out
+  done;
   note_result stats limits out;
   finish_unary sp r out;
   out
@@ -639,8 +551,7 @@ let select_named name ?(ctx = Ctx.null) r pred =
   tick limits;
   Option.iter Stats.record_selection stats;
   let out =
-    Relation.create ~backend:(Ctx.backend ctx)
-      ~size_hint:(max 16 (Relation.cardinality r))
+    Relation.create ~size_hint:(max 16 (Relation.cardinality r))
       (Relation.schema r)
   in
   Relation.iter (fun tup -> if pred tup then guarded_add limits out tup) r;
@@ -666,8 +577,7 @@ let rename r mapping =
       (Schema.to_array (Relation.schema r))
   in
   let out =
-    Relation.create ~backend:(Relation.backend r)
-      ~size_hint:(Relation.cardinality r)
+    Relation.create ~size_hint:(Relation.cardinality r)
       (Schema.of_array fresh)
   in
   Relation.iter (fun tup -> ignore (Relation.add out tup)) r;

@@ -2,8 +2,8 @@
 
     Every operator materializes its result (set semantics). All operators
     accept a single optional execution context ({!Ctx.t}) bundling the
-    stats, limits and telemetry that used to be separate optionals, plus
-    the storage backend for the result relation. With stats, callers can
+    stats, limits, telemetry and domain pool that used to be separate
+    optionals. With stats, callers can
     measure the quantities the paper studies — maximum intermediate arity
     and cardinality; with limits, bound runaway evaluations; with
     telemetry, each operator runs inside a span named [op.*] carrying
@@ -15,24 +15,22 @@
     Each operator spends one unit of {!Limits} fuel on entry and charges
     per materialized tuple, so deadlines and budgets fire mid-operator.
 
-    When both inputs and the result are {!Relation.Columnar}, the joins
-    and projections run specialized kernels that read columns directly
-    out of the tuple arenas and never allocate per probe; mixed or
-    row-backed operands fall back to the generic tuple-at-a-time path
-    with identical results.
+    The joins and projections run specialized kernels that read columns
+    directly out of the tuple arenas and never allocate per probe.
 
     @raise Limits.Abort when a guard trips (see {!Limits.reason}). *)
 
 val natural_join : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 (** [natural_join r s] joins on all attributes the schemas share; the
     result schema is [r]'s schema followed by [s]'s remaining attributes.
-    Implemented as a hash join, building on the smaller input; on
-    columnar operands the index is built directly over the join-key
+    Implemented as a hash join — the only join kernel, mirroring the
+    paper's PostgreSQL setup with hash joins forced — building on the
+    smaller input; the index is built directly over the join-key
     columns of the build arena (single-attribute keys take a further
     specialized path). Degenerates to the cartesian product when the
     schemas are disjoint.
 
-    With a pool in the context ([Ctx.with_pool]) and columnar operands at
+    With a pool in the context ([Ctx.with_pool]) and operands at
     least [Pool.grain] rows big, the join runs hash-partitioned across
     the pool's domains: both sides are radix-split on the join-key hash
     into one shard per domain, shards join independently into private
@@ -42,13 +40,6 @@ val natural_join : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 
 val product : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 (** Cartesian product. @raise Invalid_argument if schemas intersect. *)
-
-val merge_join : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
-(** Sort-merge implementation of {!natural_join}: same contract, same
-    result, different cost profile (sorting both inputs on the shared
-    attributes, then merging run by run). Exists for the join-algorithm
-    ablation; the paper forced hash joins in PostgreSQL, which
-    {!natural_join} mirrors. *)
 
 val equijoin :
   ?ctx:Ctx.t -> on:(Schema.attr * Schema.attr) list ->
@@ -83,8 +74,7 @@ val rename : Relation.t -> (Schema.attr * Schema.attr) list -> Relation.t
     @raise Invalid_argument if renaming creates duplicates. *)
 
 val union : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
-(** Set union. The second relation is reordered to the first's schema;
-    the result lives in the first relation's backend.
+(** Set union. The second relation is reordered to the first's schema.
     @raise Invalid_argument if the schemas are not permutations. *)
 
 val inter : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t

@@ -146,11 +146,19 @@ let parse_number st =
     | Some f -> Json.Float f
     | None -> error st (Printf.sprintf "bad number %S" s))
 
-let rec parse_value st =
+(* Deepest array/object nesting a line may carry. Protocol requests nest
+   three levels at most; the cap turns a hostile line of a million ['['
+   into an immediate typed error instead of seconds of recursion on the
+   reader thread. *)
+let max_depth = 512
+
+let rec parse_value st depth =
   skip_ws st;
   match peek st with
   | None -> error st "expected a value, found end of input"
   | Some '"' -> Json.String (parse_string st)
+  | Some ('{' | '[') when depth >= max_depth ->
+    error st (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '{' ->
     advance st;
     skip_ws st;
@@ -164,7 +172,7 @@ let rec parse_value st =
         let k = parse_string st in
         skip_ws st;
         expect st ':';
-        let v = parse_value st in
+        let v = parse_value st (depth + 1) in
         skip_ws st;
         match peek st with
         | Some ',' ->
@@ -186,7 +194,7 @@ let rec parse_value st =
     end
     else begin
       let rec items acc =
-        let v = parse_value st in
+        let v = parse_value st (depth + 1) in
         skip_ws st;
         match peek st with
         | Some ',' ->
@@ -207,7 +215,7 @@ let rec parse_value st =
 
 let parse text =
   let st = { text; pos = 0 } in
-  match parse_value st with
+  match parse_value st 0 with
   | v ->
     skip_ws st;
     if st.pos < String.length text then

@@ -80,11 +80,10 @@ val run :
     [sleep] is true (default false: ladder retries are synchronous
     recomputation, so sleeping only matters for transient external
     faults). [chaos] arms a fault on the attempts in its scope. [clock]
-    is forwarded to the budget's limits. [ctx] supplies telemetry, backend
-    and join algorithm to every rung; each rung's limits come from its
-    scaled budget, overriding any limits in [ctx]. With telemetry, every
-    rung runs
-    in a [supervise.rung] span (attributes: rung index, method, completion
+    is forwarded to the budget's limits. [ctx] supplies telemetry and the
+    domain pool to every rung; each rung's limits come from its scaled
+    budget, overriding any limits in [ctx]. With telemetry, every rung
+    runs in a [supervise.rung] span (attributes: rung index, method, completion
     status or abort reason), rung wall time feeds the
     [supervise.rung_seconds] histogram, and the registry counts
     [supervise.runs], [supervise.rescues] and [supervise.exhausted].

@@ -25,24 +25,9 @@ let build ~depth_of_var rel =
     (fun a b -> compare (depth_of_var attrs.(a)) (depth_of_var attrs.(b)))
     levels;
   let depths = Array.map (fun c -> depth_of_var attrs.(c)) levels in
-  (* Flat copy of the source rows, read off the arena when there is one. *)
-  let src =
-    match Relation.arena rel with
-    | Some a ->
-      (* The arena's live prefix is exactly [rows * width] cells. *)
-      Array.sub (Arena.data a) 0 (rows * width)
-    | None ->
-      let buf = Array.make (max 1 (rows * width)) 0 in
-      let next = ref 0 in
-      Relation.iter
-        (fun tup ->
-          for c = 0 to width - 1 do
-            buf.((!next * width) + c) <- Relalg.Tuple.get tup c
-          done;
-          incr next)
-        rel;
-      buf
-  in
+  (* The arena's live prefix is exactly [rows * width] cells; it is only
+     read here, so the trie sorts row ids over it without a copy. *)
+  let src = Arena.data (Relation.arena rel) in
   let idx = Array.init rows Fun.id in
   let compare_rows a b =
     let ra = a * width and rb = b * width in

@@ -2,11 +2,11 @@
 
     A trie is one atom's materialized relation with its columns permuted
     into the global variable order and its rows sorted lexicographically,
-    stored as a flat row-major [int array] (read straight off the columnar
-    {!Relalg.Arena} when the relation uses that backend). Sorted this way,
-    the rows matching any prefix of bound values form a contiguous range,
-    so the leapfrog intersection only ever narrows [\[lo, hi)] windows
-    with galloping searches — no per-level allocation. *)
+    stored as a flat row-major [int array] (sorted straight off the
+    relation's {!Relalg.Arena}). Sorted this way, the rows matching any
+    prefix of bound values form a contiguous range, so the leapfrog
+    intersection only ever narrows [\[lo, hi)] windows with galloping
+    searches — no per-level allocation. *)
 
 type t
 

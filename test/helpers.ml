@@ -109,6 +109,61 @@ let rows_in_order cols rel =
        (fun tup -> List.map (fun v -> Relalg.Tuple.get tup (column v)) cols)
        (Relalg.Relation.to_sorted_list rel))
 
+(* A list-based reference for the relational operators. A relation is
+   its attribute list and its rows as int lists; every operator is a
+   nested loop over the rows, and results are sorted and deduplicated.
+   No [Ops], [Arena] or hash code runs here, so it is an oracle for the
+   engine's join, projection and set kernels. *)
+module Ref = struct
+  type t = int list * int list list
+
+  let value attrs row a =
+    let rec go = function
+      | x :: xs, v :: vs -> if x = a then v else go (xs, vs)
+      | _ -> invalid_arg "Ref.value: attribute absent"
+    in
+    go (attrs, row)
+
+  let agree (sa, a) (sb, b) =
+    List.for_all
+      (fun x -> (not (List.mem x sa)) || value sa a x = value sb b x)
+      sb
+
+  let join ((sa, ra) : t) ((sb, rb) : t) : t =
+    let rest = List.filter (fun x -> not (List.mem x sa)) sb in
+    ( sa @ rest,
+      List.sort_uniq compare
+        (List.concat_map
+           (fun a ->
+             List.filter_map
+               (fun b ->
+                 if agree (sa, a) (sb, b) then
+                   Some (a @ List.map (value sb b) rest)
+                 else None)
+               rb)
+           ra) )
+
+  let project ((sa, ra) : t) keep : t =
+    ( keep,
+      List.sort_uniq compare (List.map (fun a -> List.map (value sa a) keep) ra)
+    )
+
+  let filter keep ((sa, ra) : t) ((sb, rb) : t) : t =
+    ( sa,
+      List.sort_uniq compare
+        (List.filter
+           (fun a -> keep (List.exists (fun b -> agree (sa, a) (sb, b)) rb))
+           ra) )
+
+  let semijoin r s = filter Fun.id r s
+  let antijoin r s = filter not r s
+
+  let union ((sa, ra) : t) ((sb, rb) : t) : t =
+    ( sa,
+      List.sort_uniq compare
+        (ra @ List.map (fun b -> List.map (value sb b) sa) rb) )
+end
+
 (* ------------------------------------------------------------------ *)
 (* Instance generators.                                                *)
 
@@ -181,27 +236,104 @@ let write_file path contents =
   Out_channel.with_open_bin path (fun oc -> output_string oc contents)
 
 (* ------------------------------------------------------------------ *)
-(* Storage-backend matrix.                                             *)
+(* Random multi-relation conjunctive queries, for {!brute_force_cq}.    *)
 
-(* Run [f] with the process-wide default backend set to [b]; the
-   scoped bracket restores the previous default even when [f] raises
-   (Alcotest failures unwind through here). *)
-let with_backend b f = Relalg.Relation.with_default_backend b f
+module Cq = Conjunctive.Cq
 
-(* Alcotest's test_case is a public triple, so a finished suite can be
-   re-run under each backend by wrapping every body (QCheck properties
-   included — their generators and assertions all run inside [f]). *)
-let under_backend b (name, speed, f) =
-  (name, speed, fun x -> with_backend b (fun () -> f x))
+(* Force a gate route for the duration of [f]. putenv cannot unset, so
+   restoring writes "" — which the gate treats as "decide normally". *)
+let with_gate route f =
+  Unix.putenv "PPR_GHD_GATE" route;
+  Fun.protect ~finally:(fun () -> Unix.putenv "PPR_GHD_GATE" "") f
 
-(* Duplicate every suite once per storage backend, prefixing the suite
-   names, so the whole test file becomes a backend-equivalence matrix. *)
-let backend_matrix suites =
-  List.concat_map
-    (fun b ->
-      let prefix = Relalg.Relation.backend_name b in
-      List.map
-        (fun (suite, tests) ->
-          (prefix ^ ":" ^ suite, List.map (under_backend b) tests))
-        suites)
-    [ Relalg.Relation.Row; Relalg.Relation.Columnar ]
+(* Base relations over the domain {0,1,2}: unary [u], binary [r] and
+   [s], ternary [t], and the always-empty binary [e]. *)
+let oracle_db (u, r, s, t) =
+  let db = Conjunctive.Database.create () in
+  let add name arity rows =
+    Conjunctive.Database.add db name
+      (relation (List.init arity (fun i -> i)) (List.sort_uniq compare rows))
+  in
+  add "u" 1 u;
+  add "r" 2 r;
+  add "s" 2 s;
+  add "t" 3 t;
+  add "e" 2 [];
+  db
+
+let arity_of = function "u" -> 1 | "t" -> 3 | _ -> 2
+
+(* A weighted union over query shapes: cycles of binary atoms (cyclic,
+   so the decomposition has real bags), stars around a ternary atom,
+   atoms with a repeated variable ([t(x,x,y)], [r(x,x)]), shapes that
+   touch the empty relation, and free-form mixes of every arity. *)
+let oracle_query_gen =
+  let open QCheck.Gen in
+  let var k = int_range 0 (k - 1) in
+  let atom rel vars = { Cq.rel; vars } in
+  let random_atom k =
+    oneofl [ "u"; "r"; "s"; "t"; "r"; "s" ] >>= fun rel ->
+    list_repeat (arity_of rel) (var k) >|= atom rel
+  in
+  let cycle =
+    int_range 3 5 >>= fun k ->
+    list_repeat k (oneofl [ "r"; "s" ]) >|= fun rels ->
+    List.mapi (fun i rel -> atom rel [ i; (i + 1) mod k ]) rels
+  in
+  let star =
+    int_range 1 3 >>= fun leaves ->
+    list_repeat leaves (pair (oneofl [ "r"; "s"; "u" ]) (var 3))
+    >|= fun spokes ->
+    atom "t" [ 0; 1; 2 ]
+    :: List.mapi
+         (fun i (rel, hub) ->
+           if rel = "u" then atom "u" [ hub ] else atom rel [ hub; 3 + i ])
+         spokes
+  in
+  let repeated =
+    int_range 1 3 >>= fun extra ->
+    list_repeat extra (random_atom 3) >|= fun rest ->
+    atom "t" [ 0; 0; 1 ] :: atom "r" [ 1; 1 ] :: rest
+  in
+  let with_empty =
+    cycle >>= fun base ->
+    var 3 >|= fun v -> base @ [ atom "e" [ v; (v + 1) mod 3 ] ]
+  in
+  let mixed =
+    int_range 2 5 >>= fun k ->
+    int_range 2 5 >>= fun m -> list_repeat m (random_atom k)
+  in
+  frequency
+    [ (3, cycle); (2, star); (2, repeated); (1, with_empty); (3, mixed) ]
+  >>= fun atoms ->
+  let vars =
+    List.sort_uniq compare (List.concat_map (fun a -> a.Cq.vars) atoms)
+  in
+  frequency
+    [
+      (1, return []);
+      (2, list_size (int_range 1 (List.length vars)) (oneofl vars)
+          >|= List.sort_uniq compare);
+    ]
+  >|= fun free -> Cq.make ~atoms ~free
+
+let oracle_data_gen =
+  let open QCheck.Gen in
+  let value = int_range 0 2 in
+  let rows arity = list_size (int_range 1 8) (list_repeat arity value) in
+  quad (list_size (int_range 1 3) (list_repeat 1 value)) (rows 2) (rows 2)
+    (rows 3)
+
+let oracle_arbitrary =
+  let print (cq, (u, r, s, t)) =
+    let rows name rs =
+      Printf.sprintf "%s=%s" name
+        (String.concat ";"
+           (List.map
+              (fun row -> String.concat "," (List.map string_of_int row))
+              rs))
+    in
+    Format.asprintf "%a  %s %s %s %s" Cq.pp cq (rows "u" u) (rows "r" r)
+      (rows "s" s) (rows "t" t)
+  in
+  QCheck.make ~print QCheck.Gen.(pair oracle_query_gen oracle_data_gen)

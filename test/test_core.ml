@@ -75,17 +75,6 @@ let test_exec_boolean_result () =
   let cq4 = coloring_query (Graphlib.Generators.clique 4) in
   check_bool "K4 empty" false (Exec.nonempty coloring_db (Bucket.compile cq4))
 
-let prop_exec_merge_agrees_with_hash =
-  qtest ~count:40 "merge-join execution = hash-join execution"
-    graph_arbitrary (fun g ->
-      let cq = coloring_query ~mode:(Encode.Fraction 0.3) ~seed:(G.size g) g in
-      let plan = Bucket.compile cq in
-      Relation.equal_modulo_order
-        (Exec.run ~ctx:(Relalg.Ctx.create ~join_algorithm:Exec.Hash ())
-           coloring_db plan)
-        (Exec.run ~ctx:(Relalg.Ctx.create ~join_algorithm:Exec.Merge ())
-           coloring_db plan))
-
 let test_exec_stats_measure_width () =
   let stats = Relalg.Stats.create () in
   let plan = Ppr_core.Straightforward.compile pentagon_cq in
@@ -275,6 +264,112 @@ let prop_non_boolean_matches_oracle =
                (Relation.to_list result))
         in
         got = all_colorings g ~keep)
+
+(* Every method under its own routing, then GHD under each forced gate
+   route, each checked materialized through [Driver.run] and drained
+   through [Exec.stream] against {!Helpers.brute_force_cq} on random
+   multi-relation queries (mixed arities, repeated variables, an empty
+   relation, Boolean heads). *)
+let oracle_routes =
+  List.map
+    (fun m -> (Driver.method_name m, m, None))
+    Driver.
+      [
+        Straightforward; Early_projection; Reorder; Bucket_elimination;
+        Naive Naive.default_search; Hybrid; Wcoj; Ghd;
+      ]
+  @ List.map
+      (fun (route, decision) ->
+        ("ghd forced " ^ route, Driver.Ghd, Some (route, decision)))
+      [ ("bucket", Ghd.Bucket); ("generic", Ghd.Generic); ("ghd", Ghd.Ghd) ]
+
+(* The answers of one route on [cq] — materialized through [Driver.run]
+   and drained through [Exec.stream] — and whether a forced gate route
+   is the one the prepared artifact took. *)
+let route_answers (_, meth, forced) db cq =
+  let run () =
+    let outcome = Driver.run ~rng:(rng 1) meth db cq in
+    let compiled = Driver.prepare ~rng:(rng 1) meth db cq in
+    let drained = Relalg.Cursor.to_relation (Exec.stream db cq compiled) in
+    let routed =
+      match (forced, compiled) with
+      | None, _ -> true
+      | Some (_, d), Driver.Decomposed (prep, _) -> prep.Ghd.decision = d
+      | Some _, _ -> false
+    in
+    let answers rel = rows_in_order cq.Cq.free rel in
+    (Option.map answers outcome.Driver.result, answers drained, routed)
+  in
+  match forced with None -> run () | Some (route, _) -> with_gate route run
+
+let prop_every_route_matches_oracle =
+  qtest ~count:150 "every method and forced route = brute force (random CQs)"
+    oracle_arbitrary (fun (cq, data) ->
+      let db = oracle_db data in
+      let expected = brute_force_cq db cq in
+      List.for_all
+        (fun ((name, _, _) as route) ->
+          let materialized, drained, routed = route_answers route db cq in
+          (routed && materialized = Some expected && drained = expected)
+          || QCheck.Test.fail_reportf "%s disagrees with the oracle" name)
+        oracle_routes)
+
+(* Fixed instances for the same check, one case per route and instance,
+   so a regression names the shape it breaks: cycles of each length,
+   acyclic paths and stars, repeated variables, a self-loop, an empty
+   relation, disconnected components, a duplicated atom, a head in
+   non-sorted order, and Boolean heads over cyclic and acyclic bodies. *)
+let oracle_fixed_data =
+  ( [ [ 0 ]; [ 2 ] ],
+    [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 0 ]; [ 1; 1 ]; [ 0; 2 ] ],
+    [ [ 1; 0 ]; [ 2; 1 ]; [ 0; 0 ]; [ 2; 2 ] ],
+    [ [ 0; 0; 1 ]; [ 0; 1; 2 ]; [ 1; 1; 0 ]; [ 2; 0; 2 ] ] )
+
+let oracle_instances =
+  let a rel vars = { Cq.rel; vars } in
+  [
+    ("triangle, Boolean", [ a "r" [ 0; 1 ]; a "r" [ 1; 2 ]; a "r" [ 2; 0 ] ], []);
+    ("triangle, all free",
+      [ a "r" [ 0; 1 ]; a "r" [ 1; 2 ]; a "r" [ 2; 0 ] ], [ 0; 1; 2 ]);
+    ("4-cycle over r and s",
+      [ a "r" [ 0; 1 ]; a "s" [ 1; 2 ]; a "r" [ 2; 3 ]; a "s" [ 3; 0 ] ], [ 0 ]);
+    ("5-cycle",
+      [ a "r" [ 0; 1 ]; a "s" [ 1; 2 ]; a "r" [ 2; 3 ]; a "s" [ 3; 4 ];
+        a "r" [ 4; 0 ] ], [ 0; 2 ]);
+    ("path", [ a "r" [ 0; 1 ]; a "s" [ 1; 2 ]; a "r" [ 2; 3 ] ], [ 0; 3 ]);
+    ("star around a ternary atom",
+      [ a "t" [ 0; 1; 2 ]; a "r" [ 0; 3 ]; a "s" [ 1; 4 ]; a "u" [ 2 ] ],
+      [ 3; 4 ]);
+    ("repeated variables", [ a "t" [ 0; 0; 1 ]; a "r" [ 1; 1 ] ], [ 0; 1 ]);
+    ("self-loop, Boolean", [ a "r" [ 0; 0 ] ], []);
+    ("empty relation", [ a "r" [ 0; 1 ]; a "e" [ 1; 2 ] ], [ 0 ]);
+    ("disconnected components", [ a "r" [ 0; 1 ]; a "s" [ 2; 3 ] ], [ 0; 3 ]);
+    ("head out of column order", [ a "t" [ 0; 1; 2 ] ], [ 2; 0 ]);
+    ("parallel and duplicate atoms",
+      [ a "r" [ 0; 1 ]; a "s" [ 1; 0 ]; a "r" [ 0; 1 ] ], [ 0; 1 ]);
+    ("unary filters", [ a "u" [ 0 ]; a "r" [ 0; 1 ]; a "u" [ 1 ] ], [ 1 ]);
+    ("ternary cycle, Boolean",
+      [ a "t" [ 0; 1; 2 ]; a "t" [ 2; 3; 4 ]; a "r" [ 4; 0 ] ], []);
+  ]
+
+let oracle_route_suites =
+  let db = oracle_db oracle_fixed_data in
+  let rows = Alcotest.(list (list int)) in
+  List.map
+    (fun ((route_name, _, _) as route) ->
+      ( "oracle: " ^ route_name,
+        List.map
+          (fun (name, atoms, free) ->
+            Alcotest.test_case name `Quick (fun () ->
+                let cq = Cq.make ~atoms ~free in
+                let expected = brute_force_cq db cq in
+                let materialized, drained, routed = route_answers route db cq in
+                check_bool "took the forced route" true routed;
+                Alcotest.(check (option rows))
+                  "materialized" (Some expected) materialized;
+                Alcotest.check rows "drained stream" expected drained))
+          oracle_instances ))
+    oracle_routes
 
 let prop_methods_widths_ordered =
   qtest ~count:50 "bucket elimination is never wider than straightforward"
@@ -838,8 +933,7 @@ let test_method_names () =
 
 let () =
   Alcotest.run "core"
-    (backend_matrix
-    [
+    ([
       ( "plan",
         [
           Alcotest.test_case "schema" `Quick test_plan_schema;
@@ -852,7 +946,6 @@ let () =
           Alcotest.test_case "boolean result" `Quick test_exec_boolean_result;
           Alcotest.test_case "stats measure width" `Quick
             test_exec_stats_measure_width;
-          prop_exec_merge_agrees_with_hash;
         ] );
       ( "cost",
         [
@@ -877,6 +970,7 @@ let () =
           prop_methods_agree_boolean;
           prop_methods_agree_non_boolean;
           prop_non_boolean_matches_oracle;
+          prop_every_route_matches_oracle;
           prop_methods_widths_ordered;
         ] );
       ( "early projection & reordering",
@@ -952,4 +1046,5 @@ let () =
             test_driver_timeout_reported;
           Alcotest.test_case "method names" `Quick test_method_names;
         ] );
-    ])
+    ]
+    @ oracle_route_suites)

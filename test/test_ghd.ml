@@ -22,12 +22,6 @@ let bucket_result ?ctx db cq =
 let coloring ~mode g =
   (coloring_db, Encode.coloring_query_of_graph ~mode ~rng:(rng 7) g)
 
-(* Force a gate route for the duration of [f]. putenv cannot unset, so
-   restoring writes "" — which the gate treats as "decide normally". *)
-let with_gate route f =
-  Unix.putenv "PPR_GHD_GATE" route;
-  Fun.protect ~finally:(fun () -> Unix.putenv "PPR_GHD_GATE" "") f
-
 (* ------------------------------------------------------------------ *)
 (* Decomposition search                                                 *)
 
@@ -227,116 +221,6 @@ let test_fig3_misroute () =
     [ ("bool", Encode.Boolean); ("free20", Encode.Fraction 0.2) ]
 
 (* ------------------------------------------------------------------ *)
-(* Brute-force oracle on multi-relation queries                         *)
-
-(* Base relations over the domain {0,1,2}: unary [u], binary [r] and
-   [s], ternary [t], and the always-empty binary [e]. *)
-let oracle_db (u, r, s, t) =
-  let db = Conjunctive.Database.create () in
-  let add name arity rows =
-    Conjunctive.Database.add db name
-      (relation (List.init arity (fun i -> i)) (List.sort_uniq compare rows))
-  in
-  add "u" 1 u;
-  add "r" 2 r;
-  add "s" 2 s;
-  add "t" 3 t;
-  add "e" 2 [];
-  db
-
-let arity_of = function "u" -> 1 | "t" -> 3 | _ -> 2
-
-(* A weighted union over query shapes: cycles of binary atoms (cyclic,
-   so the decomposition has real bags), stars around a ternary atom,
-   atoms with a repeated variable ([t(x,x,y)], [r(x,x)]), shapes that
-   touch the empty relation, and free-form mixes of every arity. *)
-let oracle_query_gen =
-  let open QCheck.Gen in
-  let var k = int_range 0 (k - 1) in
-  let atom rel vars = { Cq.rel; vars } in
-  let random_atom k =
-    oneofl [ "u"; "r"; "s"; "t"; "r"; "s" ] >>= fun rel ->
-    list_repeat (arity_of rel) (var k) >|= atom rel
-  in
-  let cycle =
-    int_range 3 5 >>= fun k ->
-    list_repeat k (oneofl [ "r"; "s" ]) >|= fun rels ->
-    List.mapi (fun i rel -> atom rel [ i; (i + 1) mod k ]) rels
-  in
-  let star =
-    int_range 1 3 >>= fun leaves ->
-    list_repeat leaves (pair (oneofl [ "r"; "s"; "u" ]) (var 3))
-    >|= fun spokes ->
-    atom "t" [ 0; 1; 2 ]
-    :: List.mapi
-         (fun i (rel, hub) ->
-           if rel = "u" then atom "u" [ hub ] else atom rel [ hub; 3 + i ])
-         spokes
-  in
-  let repeated =
-    int_range 1 3 >>= fun extra ->
-    list_repeat extra (random_atom 3) >|= fun rest ->
-    atom "t" [ 0; 0; 1 ] :: atom "r" [ 1; 1 ] :: rest
-  in
-  let with_empty =
-    cycle >>= fun base ->
-    var 3 >|= fun v -> base @ [ atom "e" [ v; (v + 1) mod 3 ] ]
-  in
-  let mixed =
-    int_range 2 5 >>= fun k ->
-    int_range 2 5 >>= fun m -> list_repeat m (random_atom k)
-  in
-  frequency
-    [ (3, cycle); (2, star); (2, repeated); (1, with_empty); (3, mixed) ]
-  >>= fun atoms ->
-  let vars =
-    List.sort_uniq compare (List.concat_map (fun a -> a.Cq.vars) atoms)
-  in
-  frequency
-    [
-      (1, return []);
-      (2, list_size (int_range 1 (List.length vars)) (oneofl vars)
-          >|= List.sort_uniq compare);
-    ]
-  >|= fun free -> Cq.make ~atoms ~free
-
-let oracle_data_gen =
-  let open QCheck.Gen in
-  let value = int_range 0 2 in
-  let rows arity = list_size (int_range 1 8) (list_repeat arity value) in
-  quad (list_size (int_range 1 3) (list_repeat 1 value)) (rows 2) (rows 2)
-    (rows 3)
-
-let oracle_arbitrary =
-  let print (cq, (u, r, s, t)) =
-    let rows name rs =
-      Printf.sprintf "%s=%s" name
-        (String.concat ";"
-           (List.map
-              (fun row -> String.concat "," (List.map string_of_int row))
-              rs))
-    in
-    Format.asprintf "%a  %s %s %s %s" Cq.pp cq (rows "u" u) (rows "r" r)
-      (rows "s" s) (rows "t" t)
-  in
-  QCheck.make ~print QCheck.Gen.(pair oracle_query_gen oracle_data_gen)
-
-let prop_forced_ghd_matches_oracle =
-  qtest ~count:150 "forced ghd + drained stream = brute force (random CQs)"
-    oracle_arbitrary (fun (cq, data) ->
-      let db = oracle_db data in
-      let expected = brute_force_cq db cq in
-      let prep = with_gate "ghd" (fun () -> Ghd.prepare ~rng:(rng 1) db cq) in
-      let evaluated = rows_in_order cq.Cq.free (Ghd.evaluate ~prep db cq) in
-      let drained =
-        Relalg.Cursor.to_relation
-          (Ppr_core.Exec.stream db cq (Ppr_core.Exec.Decomposed (prep, None)))
-      in
-      prep.Ghd.decision = Ghd.Ghd
-      && evaluated = expected
-      && rows_in_order cq.Cq.free drained = expected)
-
-(* ------------------------------------------------------------------ *)
 (* Parallel evaluation                                                  *)
 
 let with_pool f =
@@ -465,8 +349,7 @@ let test_prep_mismatch_rejected () =
 
 let () =
   Alcotest.run "ghd"
-    (backend_matrix
-       [
+    [
          ( "search",
            [
              Alcotest.test_case "fixed families" `Quick test_search_fixed;
@@ -486,7 +369,6 @@ let () =
                test_oracle_agreement;
              prop_matches_bucket;
              Alcotest.test_case "figure 3 misroute" `Quick test_fig3_misroute;
-             prop_forced_ghd_matches_oracle;
            ] );
          ( "parallel",
            [
@@ -508,4 +390,4 @@ let () =
              Alcotest.test_case "prep mismatch rejected" `Quick
                test_prep_mismatch_rejected;
            ] );
-       ])
+       ]

@@ -309,33 +309,6 @@ let prop_project_composition =
         (Ops.project r (Schema.of_list [ 0 ])))
 
 (* ------------------------------------------------------------------ *)
-(* Merge join                                                          *)
-
-let test_merge_join_matches_hash_join () =
-  let r = relation [ 0; 1 ] [ [ 1; 2 ]; [ 2; 3 ]; [ 2; 4 ] ] in
-  let s = relation [ 1; 2 ] [ [ 2; 9 ]; [ 3; 8 ]; [ 3; 7 ] ] in
-  check_bool "same result" true
-    (Relation.equal (Ops.natural_join r s) (Ops.merge_join r s))
-
-let prop_merge_join_equals_hash_join =
-  qtest "merge join = hash join"
-    (QCheck.pair (small_relation_arbitrary [ 0; 1 ]) (small_relation_arbitrary [ 1; 2 ]))
-    (fun (r, s) -> Relation.equal (Ops.natural_join r s) (Ops.merge_join r s))
-
-let prop_merge_join_disjoint_product =
-  qtest "merge join handles disjoint schemas"
-    (QCheck.pair (small_relation_arbitrary [ 0 ]) (small_relation_arbitrary [ 1 ]))
-    (fun (r, s) -> Relation.equal (Ops.natural_join r s) (Ops.merge_join r s))
-
-let test_merge_join_respects_limits () =
-  let r = relation [ 0 ] [ [ 1 ]; [ 2 ]; [ 3 ] ] in
-  let s = relation [ 1 ] [ [ 1 ]; [ 2 ] ] in
-  let limits = Relalg.Limits.create ~max_tuples:3 () in
-  Alcotest.check_raises "cap applies"
-    (Relalg.Limits.Abort (Relalg.Limits.Cardinality 4)) (fun () ->
-      ignore (Ops.merge_join ~ctx:(Relalg.Ctx.create ~limits ()) r s))
-
-(* ------------------------------------------------------------------ *)
 (* Aggregation                                                         *)
 
 let test_aggregate_counts () =
@@ -444,7 +417,7 @@ let test_stats_recording () =
   check_int "reset" 0 (Relalg.Stats.max_arity stats)
 
 (* ------------------------------------------------------------------ *)
-(* Arena: the columnar store's tuple arena, exercised directly at its
+(* Arena: the relations' tuple store, exercised directly at its
    edge cases (degenerate arities and enough rows to force both data
    growth and index rehashes).                                          *)
 
@@ -656,47 +629,76 @@ let cursor_suite =
     ] )
 
 (* ------------------------------------------------------------------ *)
-(* Backend equivalence: the same operator pipeline evaluated under both
-   storage backends must produce bit-identical sorted tuple lists.      *)
+(* Reference: each operator against the list-based nested-loop
+   {!Helpers.Ref}, which shares no code with [Ops].                     *)
 
-let eval_under backend rows_r rows_s op =
-  let r = Relation.of_list ~backend (Schema.of_list [ 0; 1 ]) rows_r in
-  let s = Relation.of_list ~backend (Schema.of_list [ 1; 2 ]) rows_s in
-  let ctx = Relalg.Ctx.create ~backend () in
-  List.map Relalg.Tuple.to_list (Relation.to_sorted_list (op ctx r s))
+(* Schema pairs sharing one attribute, two attributes in swapped column
+   order, or none (a product); [union] takes permuted schemas. *)
+let join_schemas =
+  [ ([ 0; 1 ], [ 1; 2 ]); ([ 0; 1 ], [ 1; 0 ]); ([ 0 ], [ 1 ]);
+    ([ 0; 1; 2 ], [ 2; 0 ]) ]
 
-let prop_backends_agree name op =
-  qtest ("row = columnar: " ^ name)
-    (QCheck.pair
-       (QCheck.list_of_size (QCheck.Gen.int_range 0 30)
-          (QCheck.pair QCheck.small_int QCheck.small_int))
-       (QCheck.list_of_size (QCheck.Gen.int_range 0 30)
-          (QCheck.pair QCheck.small_int QCheck.small_int)))
-    (fun (pr, ps) ->
-      let rows_r = List.map (fun (a, b) -> [ a; b ]) pr in
-      let rows_s = List.map (fun (a, b) -> [ a; b ]) ps in
-      eval_under Relation.Row rows_r rows_s op
-      = eval_under Relation.Columnar rows_r rows_s op)
+let union_schemas =
+  [ ([ 0; 1 ], [ 1; 0 ]); ([ 0; 1; 2 ], [ 2; 0; 1 ]); ([ 0 ], [ 0 ]) ]
 
-let backend_equivalence_suite =
-  ( "backend equivalence",
+let ref_input_arbitrary schemas =
+  let rows attrs =
+    QCheck.Gen.(
+      list_size (int_range 0 25) (list_repeat (List.length attrs) (int_bound 5)))
+  in
+  let gen =
+    QCheck.Gen.(
+      oneofl schemas >>= fun (sa, sb) ->
+      pair (rows sa) (rows sb) >|= fun (ra, rb) -> ((sa, ra), (sb, rb)))
+  in
+  let print_rel (attrs, rows) =
+    Printf.sprintf "%s: %s"
+      (QCheck.Print.(list int) attrs)
+      (QCheck.Print.(list (list int)) rows)
+  in
+  QCheck.make ~print:(QCheck.Print.pair print_rel print_rel) gen
+
+(* [op] runs on engine relations, [reference] on the same rows as
+   lists; the engine result, read in the reference's column order,
+   must hold exactly the reference rows. *)
+let prop_matches_reference ?(schemas = join_schemas) name op reference =
+  qtest ("ops = nested-loop reference: " ^ name) (ref_input_arbitrary schemas)
+    (fun (a, b) ->
+      let of_ref (attrs, rows) = relation attrs rows in
+      let attrs, expected = reference a b in
+      let got = op (of_ref a) (of_ref b) in
+      Schema.equal_as_set (Relation.schema got) (Schema.of_list attrs)
+      && rows_in_order attrs got = expected)
+
+(* Keep the join's last column, then its first. *)
+let last_and_first attrs =
+  [ List.nth attrs (List.length attrs - 1); List.hd attrs ]
+
+let reference_suite =
+  ( "reference",
     [
-      prop_backends_agree "natural join" (fun ctx r s ->
-          Ops.natural_join ~ctx r s);
-      prop_backends_agree "join then project" (fun ctx r s ->
-          Ops.project ~ctx (Ops.natural_join ~ctx r s) (Schema.of_list [ 0; 2 ]));
-      prop_backends_agree "semijoin" (fun ctx r s -> Ops.semijoin ~ctx r s);
-      prop_backends_agree "antijoin" (fun ctx r s -> Ops.antijoin ~ctx r s);
-      prop_backends_agree "union (renamed)" (fun ctx r s ->
-          Ops.union ~ctx r (Ops.rename s [ (1, 0); (2, 1) ]));
-      prop_backends_agree "merge join = hash join" (fun ctx r s ->
-          Ops.merge_join ~ctx r s);
+      prop_matches_reference "natural join" (fun r s -> Ops.natural_join r s)
+        Ref.join;
+      prop_matches_reference "project of a join"
+        (fun r s ->
+          let joined = Ops.natural_join r s in
+          Ops.project joined
+            (Schema.of_list (last_and_first (Schema.attrs (Relation.schema joined)))))
+        (fun a b ->
+          let joined = Ref.join a b in
+          Ref.project joined (last_and_first (fst joined)));
+      prop_matches_reference "semijoin" (fun r s -> Ops.semijoin r s)
+        Ref.semijoin;
+      prop_matches_reference "antijoin" (fun r s -> Ops.antijoin r s)
+        Ref.antijoin;
+      prop_matches_reference ~schemas:union_schemas "union"
+        (fun r s -> Ops.union r s)
+        Ref.union;
     ] )
 
 let () =
   Alcotest.run "relalg"
-    (backend_matrix
-    [
+    ([
       ( "symbol",
         [
           Alcotest.test_case "roundtrip" `Quick test_symbol_roundtrip;
@@ -753,15 +755,6 @@ let () =
           prop_inter_via_diff;
           prop_project_composition;
         ] );
-      ( "merge join",
-        [
-          Alcotest.test_case "matches hash join" `Quick
-            test_merge_join_matches_hash_join;
-          prop_merge_join_equals_hash_join;
-          prop_merge_join_disjoint_product;
-          Alcotest.test_case "respects limits" `Quick
-            test_merge_join_respects_limits;
-        ] );
       ( "aggregation",
         [
           Alcotest.test_case "counts" `Quick test_aggregate_counts;
@@ -794,5 +787,5 @@ let () =
               test_arena_staged_commit;
           ] );
         cursor_suite;
-        backend_equivalence_suite;
+        reference_suite;
       ])

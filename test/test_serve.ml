@@ -69,6 +69,21 @@ let test_jsonl_rejects_garbage () =
       | Error _ -> ())
     [ ""; "{"; "tru"; "1 2"; "[1,]"; "{\"a\":}"; "\"unterminated"; "nullx" ]
 
+let nested depth = String.make depth '[' ^ String.make depth ']'
+
+let test_jsonl_nesting_cap () =
+  check_bool "512 deep parses" true (Result.is_ok (Jsonl.parse (nested 512)));
+  check_bool "513 deep is rejected" true
+    (Result.is_error (Jsonl.parse (nested 513)));
+  check_bool "objects count toward the cap" true
+    (Result.is_error
+       (Jsonl.parse (String.concat "" (List.init 513 (fun _ -> {|{"a":|})))));
+  (* Without the cap this line took seconds of recursion. *)
+  let started = Unix.gettimeofday () in
+  check_bool "1M deep is rejected" true
+    (Result.is_error (Jsonl.parse (String.make 1_000_000 '[')));
+  check_bool "rejected within 1 s" true (Unix.gettimeofday () -. started < 1.0)
+
 (* ------------------------------------------------------------------ *)
 (* Wire protocol                                                       *)
 
@@ -1160,6 +1175,39 @@ let test_server_end_to_end () =
     | Some (Json.String text) -> contains text "serve.requests"
     | _ -> false)
 
+(* A line of a million '[' gets one typed error reply, promptly; the
+   connection keeps working, and so does the daemon for a new client. *)
+let test_server_rejects_deep_nesting () =
+  with_server @@ fun _server port ->
+  let exchange f =
+    let fd, ic, oc = connect_tcp port in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        f (fun line ->
+            send_line oc line;
+            match Jsonl.parse (input_line ic) with
+            | Ok v -> v
+            | Error msg -> Alcotest.failf "bad response: %s" msg))
+  in
+  exchange (fun ask ->
+      let started = Unix.gettimeofday () in
+      let reply = ask (String.make 1_000_000 '[') in
+      check_bool "answered within 1 s" true
+        (Unix.gettimeofday () -. started < 1.0);
+      check_bool "typed error" true
+        (Wire.field reply "status" = Some (Json.String "error")
+        && Wire.field reply "kind" = Some (Json.String "parse"));
+      (* The next reply on this connection answers the next line: the
+         deep line produced exactly one. *)
+      let pong = ask {|{"op":"ping","id":1}|} in
+      check_bool "one reply per line" true
+        (Wire.field pong "id" = Some (Json.Int 1)));
+  exchange (fun ask ->
+      let ans = ask {|{"op":"query","id":2,"query":"ans(X,Y) :- edge(X,Y)."}|} in
+      check_bool "a new connection is served" true
+        (Wire.field ans "status" = Some (Json.String "ok")))
+
 let test_server_concurrent_clients () =
   with_server @@ fun _server port ->
   let clients = 6 and per_client = 4 in
@@ -1242,6 +1290,7 @@ let () =
           Alcotest.test_case "escapes and numbers" `Quick
             test_jsonl_escapes_and_numbers;
           Alcotest.test_case "rejects garbage" `Quick test_jsonl_rejects_garbage;
+          Alcotest.test_case "nesting cap" `Quick test_jsonl_nesting_cap;
         ] );
       ( "wire",
         [
@@ -1328,6 +1377,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;
+          Alcotest.test_case "deep nesting rejected" `Quick
+            test_server_rejects_deep_nesting;
           Alcotest.test_case "concurrent clients" `Quick
             test_server_concurrent_clients;
           Alcotest.test_case "unix socket and drain" `Quick

@@ -251,8 +251,7 @@ let test_order_validation () =
 
 let () =
   Alcotest.run "wcoj"
-    (backend_matrix
-       [
+    [
          ( "agm",
            [
              Alcotest.test_case "feasible and sound" `Quick
@@ -278,4 +277,4 @@ let () =
              Alcotest.test_case "order validation" `Quick
                test_order_validation;
            ] );
-       ])
+       ]
