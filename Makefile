@@ -1,4 +1,4 @@
-.PHONY: all check build test bench bench-smoke bench-parallel bench-wcoj bench-ghd bench-enum bench-adaptive serve-soak fmt clean
+.PHONY: all check build test bench bench-smoke bench-wcoj bench-ghd bench-enum bench-adaptive serve-soak fmt clean
 
 all: check
 
@@ -17,21 +17,6 @@ bench:
 # machine-readable results in BENCH_results.json.
 bench-smoke:
 	dune exec bench/main.exe -- --figure 3 --scale 0.2 --seeds 1 --json BENCH_results.json
-
-# Parallel-execution gate: the figure-3 sweep at --jobs 1 vs --jobs 4,
-# then a 1M-tuple join microbench timed sequentially and through the
-# domain pool. The pooled join must produce the identical tuple set;
-# on a machine with >= 4 cores it must also be >= 1.5x faster
-# (PPR_PAR_GATE_MIN overrides the threshold, 0 disables). The verdict
-# lands in BENCH_results.json under "parallel_comparison".
-bench-parallel:
-	dune exec bench/main.exe -- --figure 3 --scale 0.8 --seeds 3 \
-	  --jobs 1 --json BENCH_results_seq.json
-	dune exec bench/main.exe -- --figure 3 --scale 0.8 --seeds 3 \
-	  --jobs 4 --json BENCH_results.json
-	dune exec bench/parallel_bench.exe -- --jobs 4 \
-	  --seq-results BENCH_results_seq.json --par-results BENCH_results.json \
-	  --json BENCH_results.json
 
 # Generic-join gate: an identity sweep (densities x seeds x encoding
 # modes) where the worst-case-optimal join, the AGM-gated driver path,

@@ -1,5 +1,5 @@
-(* Tiny JSON reader shared by the benchmark gate tools (parallel_bench,
-   wcoj_bench, ghd_bench and the rest). Telemetry.Json only emits JSON,
+(* Tiny JSON reader shared by the benchmark gate tools (wcoj_bench,
+   ghd_bench and the rest). Telemetry.Json only emits JSON,
    so the gates bring their own small recursive-descent parser — which
    also keeps them independent from the writer they check. *)
 

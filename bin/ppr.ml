@@ -242,9 +242,10 @@ let metrics_arg =
           "After the run, print the metric registry (operator counters, \
            join fan-out histogram, abort tallies) to standard output.")
 
-(* --jobs: degree of parallelism. PPR_JOBS supplies the default so CI
-   can matrix the whole test/bench entry points without editing every
-   invocation; an explicit flag wins. 0 means one domain per core. *)
+(* --jobs: how many domains an experiment sweep fans its independent
+   runs out over. PPR_JOBS supplies the default so CI can matrix the
+   sweep entry points without editing every invocation; an explicit
+   flag wins. 0 means one domain per core. *)
 let default_jobs =
   match Sys.getenv_opt "PPR_JOBS" with
   | Some s -> ( try int_of_string (String.trim s) with _ -> 1)
@@ -255,9 +256,9 @@ let jobs_arg =
     value & opt int default_jobs
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Run with N domains: large joins hash-partition across them and \
-           experiment sweeps fan their cells/seeds out. 1 (the default, or \
-           the \\$(b,PPR_JOBS) environment variable) is strictly \
+          "Fan the sweep's independent seed-by-cell runs out over N \
+           domains; each query still runs on one domain. 1 (the default, \
+           or the \\$(b,PPR_JOBS) environment variable) is strictly \
            sequential; 0 means one domain per core.")
 
 let make_pool jobs =
@@ -374,9 +375,8 @@ let run_cmd =
            spec)
   in
   let run family order density seed free_fraction meth max_tuples deadline fuel
-      use_ladder chaos trace metrics jobs planner =
+      use_ladder chaos trace metrics planner =
     guarded @@ fun () ->
-    let pool = make_pool jobs in
     with_telemetry ~trace ~metrics @@ fun telemetry ->
     let db, cq = build_instance family ~order ~density ~seed ~free_fraction in
     Format.printf "query: %d atoms, %d variables, %d free@." (Conjunctive.Cq.atom_count cq)
@@ -415,7 +415,7 @@ let run_cmd =
         if use_ladder then begin
           let report =
             Supervise.run ~rng ~budget ?chaos
-              ~ctx:(Relalg.Ctx.create ?telemetry ?pool ())
+              ~ctx:(Relalg.Ctx.create ?telemetry ())
               m db cq
           in
           Format.printf "%a" Supervise.pp_report report
@@ -427,7 +427,7 @@ let run_cmd =
           | None -> ());
           let outcome =
             Ppr_core.Driver.run ~rng
-              ~ctx:(Relalg.Ctx.create ~limits ?telemetry ?pool ())
+              ~ctx:(Relalg.Ctx.create ~limits ?telemetry ())
               m db cq
           in
           Format.printf "%a@." Ppr_core.Driver.pp_outcome outcome
@@ -439,7 +439,7 @@ let run_cmd =
     Term.(
       const run $ family_arg $ order_arg $ density_arg $ seed_arg
       $ free_fraction_arg $ method_arg $ max_tuples $ deadline $ fuel
-      $ ladder $ chaos $ trace_arg $ metrics_arg $ jobs_arg $ planner_arg)
+      $ ladder $ chaos $ trace_arg $ metrics_arg $ planner_arg)
 
 (* ------------------------------------------------------------------ *)
 (* treewidth                                                           *)
@@ -677,9 +677,8 @@ let query_cmd =
       | c -> c
   in
   let run query_text query_file data_dir meth show_sql limit rank page trace
-      metrics jobs planner =
+      metrics planner =
     guarded @@ fun () ->
-    let pool = make_pool jobs in
     with_telemetry ~trace ~metrics @@ fun telemetry ->
     let source =
       match (query_text, query_file) with
@@ -712,7 +711,7 @@ let query_cmd =
       | Some other -> failwith (Printf.sprintf "unknown method %S" other)
     in
     let meth = apply_planner planner meth in
-    let ctx = Relalg.Ctx.create ?telemetry ?pool () in
+    let ctx = Relalg.Ctx.create ?telemetry () in
     let head_name = parsed.Conjunctive.Parse.head_name in
     let namer = parsed.Conjunctive.Parse.namer in
     let free = cq.Conjunctive.Cq.free in
@@ -837,7 +836,7 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Run a Datalog-style project-join query.")
     Term.(
       const run $ query_text $ query_file $ data_dir $ method_arg $ sql_flag
-      $ limit_arg $ rank_arg $ page_arg $ trace_arg $ metrics_arg $ jobs_arg
+      $ limit_arg $ rank_arg $ page_arg $ trace_arg $ metrics_arg
       $ planner_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1051,11 +1050,10 @@ let serve_cmd =
              together into one shared execution.")
   in
   let run socket port host data_dir workers queue_depth cache cache_file
-      deadline_ms max_deadline_ms max_tuples cursor_capacity jobs
+      deadline_ms max_deadline_ms max_tuples cursor_capacity
       feedback_file warm_file planner max_cost_log2 max_queue_cost_log2
       client_quota no_batching =
     guarded @@ fun () ->
-    let pool = make_pool jobs in
     let db =
       match data_dir with
       | Some dir -> Conjunctive.Database.load_dir dir
@@ -1116,7 +1114,7 @@ let serve_cmd =
        drain. *)
     let signals = [ Sys.sigterm; Sys.sigint ] in
     ignore (Thread.sigmask Unix.SIG_BLOCK signals);
-    let server = Serve.Server.start ~config ?pool ~db address in
+    let server = Serve.Server.start ~config ~db address in
     ignore
       (Thread.create
          (fun () ->
@@ -1145,7 +1143,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ port_arg $ host_arg $ data_dir $ workers_arg
       $ queue_arg $ cache_arg $ cache_file_arg $ deadline_arg
-      $ max_deadline_arg $ max_tuples_arg $ cursor_capacity_arg $ jobs_arg
+      $ max_deadline_arg $ max_tuples_arg $ cursor_capacity_arg
       $ feedback_file_arg $ warm_arg $ planner_arg $ max_cost_arg
       $ max_queue_cost_arg $ client_quota_arg $ no_batching_arg)
 

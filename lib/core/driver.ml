@@ -247,8 +247,11 @@ let collect_stream ~clock ~limit ~rank cur =
         Relalg.Cursor.iter (fun t -> acc := t :: !acc) cur;
         (List.rev !acc, true)
       | None, Some k ->
+        (* A page that ends exactly at the stream's end is complete: when
+           [take] filled the page, one more pull tells whether anything
+           was left behind. *)
         let rest = Relalg.Cursor.take cur (k - 1) in
-        (t0' :: rest, Relalg.Cursor.closed cur)
+        (t0' :: rest, Relalg.Cursor.closed cur || Relalg.Cursor.next cur = None)
       | Some compare, None ->
         (* Global ranking with no page bound: full drain, full sort. *)
         let acc = ref [ t0' ] in

@@ -125,8 +125,8 @@ val run :
 (** Compile, execute, and measure. A {!Relalg.Limits.Abort} is caught and
     reported as [Aborted] (with the typed reason and the stats gathered up
     to that point) rather than raised. The execution context supplies
-    limits (a fresh unlimited {!Relalg.Limits.t} is created when absent),
-    telemetry and the domain pool; the context's stats field is
+    limits (a fresh unlimited {!Relalg.Limits.t} is created when absent)
+    and telemetry; the context's stats field is
     ignored — each run measures into its own private {!Relalg.Stats.t}
     so outcomes never mix across runs. With telemetry, the two phases run
     in [compile:<method>] / [exec:<method>] spans, operators record their

@@ -49,7 +49,7 @@ val run_generic :
   Relalg.Relation.t
 (** Execute a whole conjunctive query with the worst-case-optimal generic
     join instead of a binary plan — a thin front for {!Wcoj.evaluate}
-    with the same context contract as {!run} (spans, stats, limits, pool).
+    with the same context contract as {!run} (spans, stats, limits).
     @raise Relalg.Limits.Abort when a resource guard trips.
     @raise Not_found if an atom names an unregistered relation. *)
 

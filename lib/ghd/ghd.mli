@@ -92,7 +92,7 @@ val evaluate :
     through the context — [op.ghd.eval] span with per-bag [op.ghd.bag]
     spans (attributes [atoms] enforced and [rows] materialized, each with
     an [op.wcoj.join] child), the [ops.ghd] and [ops.wcoj] counters,
-    limits, stats and pool apply to every operator.
+    limits and stats apply to every operator, all on the calling domain.
     @raise Relalg.Limits.Abort when a resource guard trips.
     @raise Invalid_argument when [prep] does not match the query.
     @raise Not_found if an atom names an unregistered relation. *)

@@ -54,9 +54,9 @@ let shutdown t =
   Array.iter Domain.join workers
 
 (* The default advisory grain. PPR_PAR_GRAIN overrides it so the
-   sequential-fallback threshold of every consumer (partitioned joins,
-   sweep fan-outs) can be tuned per deployment without code changes; an
-   explicit [~grain] argument still wins. *)
+   sequential-fallback threshold of the sweep fan-outs can be tuned per
+   deployment without code changes; an explicit [~grain] argument still
+   wins. *)
 let default_grain () =
   match Sys.getenv_opt "PPR_PAR_GRAIN" with
   | Some s -> (

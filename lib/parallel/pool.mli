@@ -5,8 +5,9 @@
     participates in draining its own batch, so a pool of size 1 spawns
     nothing and runs everything inline. Batches are synchronous: {!run}
     returns only when every task of the batch has finished, which is the
-    shape the join kernel and the sweep fan-out need (fork/join, no
-    detached futures).
+    shape the experiment sweeps' fan-out of independent seed and cell
+    runs needs (fork/join, no detached futures). Query operators never
+    use a pool: every query runs on one domain.
 
     Exception discipline: every task of a batch is attempted even when an
     earlier one fails; the first failure {e in task order} (not
@@ -25,12 +26,12 @@ val create : ?num_domains:int -> ?grain:int -> unit -> t
 (** [create ~num_domains ()] spawns [num_domains - 1] workers.
     [num_domains] defaults to {!Domain.recommended_domain_count} and is
     clamped to at least 1; it counts the calling domain, so it is the
-    degree of parallelism a batch can reach. [grain] is advisory:
-    kernels consult {!grain} and stay sequential below that many input
-    rows, where partitioning costs more than it buys, and the experiment
-    sweeps read it as a probe-measured work budget. It defaults to the
-    [PPR_PAR_GRAIN] environment variable when that holds a positive
-    integer, else [16384]; an explicit argument beats the environment.
+    degree of parallelism a batch can reach. [grain] is advisory: the
+    experiment sweeps read it as a probe-measured work budget and stay
+    sequential below it, where fanning out costs more than it buys. It
+    defaults to the [PPR_PAR_GRAIN] environment variable when that holds
+    a positive integer, else [16384]; an explicit argument beats the
+    environment.
     Workers idle on a condition variable — a pool at rest burns no
     CPU. *)
 

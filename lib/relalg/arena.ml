@@ -151,23 +151,6 @@ let commit_staged t =
   in
   go (h land t.mask)
 
-(* Fold every row of [src] into [dst], keeping [dst]'s dedup index
-   consistent: one blit plus one [commit_staged] per row, no boxed tuple.
-   The parallel join kernel merges its per-shard staging arenas through
-   this; shards are disjoint by construction there, so the dedup probe
-   always lands on an empty slot, but the check keeps [absorb] correct
-   for arbitrary inputs. *)
-let absorb dst src =
-  if src.arity <> dst.arity then
-    invalid_arg
-      (Printf.sprintf "Arena.absorb: source arity %d, destination arity %d"
-         src.arity dst.arity);
-  for row = 0 to src.count - 1 do
-    let base = stage dst in
-    Array.blit src.data (row * src.arity) dst.data base dst.arity;
-    ignore (commit_staged dst)
-  done
-
 let get t row j = t.data.((row * t.arity) + j)
 let read t row = Array.sub t.data (row * t.arity) t.arity
 

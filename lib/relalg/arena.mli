@@ -63,10 +63,3 @@ val commit_staged : t -> bool
 (** Dedup-insert the staged row: hashes it in place, returns [true] (and
     keeps the row) if it was new, [false] (row space is reused) if an
     equal row already exists. *)
-
-val absorb : t -> t -> unit
-(** [absorb dst src] adds every row of [src] to [dst] (deduplicating, in
-    [src]'s row order) without materializing tuples: the merge step of
-    the hash-partitioned parallel join, which joins each shard into a
-    private arena and folds the shards back in shard order.
-    @raise Invalid_argument on an arity mismatch. *)

@@ -14,5 +14,3 @@ let pool t = t.pool
 let with_stats t stats = { t with stats = Some stats }
 let with_limits t limits = { t with limits = Some limits }
 let with_telemetry t telemetry = { t with telemetry = Some telemetry }
-let with_pool t pool = { t with pool = Some pool }
-let without_pool t = { t with pool = None }

@@ -1,11 +1,10 @@
 (** Unified execution context.
 
     Everything cross-cutting that used to travel through separate
-    [?stats ?limits ?telemetry] optionals — plus the domain pool —
-    bundled into one value that every operator, {!Exec.run},
-    [Driver.run] and [Supervise.run] accept as a single [?ctx].
-    [Ctx.null] (the default everywhere) disables all instrumentation and
-    runs sequentially. *)
+    [?stats ?limits ?telemetry] optionals, bundled into one value that
+    every operator, {!Exec.run}, [Driver.run] and [Supervise.run] accept
+    as a single [?ctx]. [Ctx.null] (the default everywhere) disables all
+    instrumentation. Every operator runs on the calling domain. *)
 
 type t
 
@@ -25,15 +24,12 @@ val limits : t -> Limits.t option
 val telemetry : t -> Telemetry.t option
 
 val pool : t -> Parallel.Pool.t option
-(** The domain pool operators may fan work out on. [None] (the default)
-    means strictly sequential execution. Carried in the context so one
-    [--jobs N] at the entry point reaches every join and sweep. *)
+(** A domain pool for work that is independent by construction: the
+    seed-by-cell fan-out of an experiment sweep reads it
+    ([Experiments.Sweep.map_seeds]). Operators never read it; every
+    join, projection and generic-join search runs on the calling
+    domain whatever the pool. *)
 
 val with_stats : t -> Stats.t -> t
 val with_limits : t -> Limits.t -> t
 val with_telemetry : t -> Telemetry.t -> t
-val with_pool : t -> Parallel.Pool.t -> t
-
-val without_pool : t -> t
-(** Drop the pool: used by code already running on a worker domain that
-    must hand a context to single-domain machinery (e.g. telemetry). *)

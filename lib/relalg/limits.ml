@@ -80,57 +80,6 @@ let remaining t = t.max_total - t.total
 let operators_run t = t.ops
 let remaining_fuel t = t.max_fuel - t.ops
 
-let owner_charge = charge
-
-(* Cross-domain cooperation: [t] is single-domain mutable state, so a
-   parallel kernel instead charges a [Shared.guard] — an atomic tuple
-   counter plus a write-once failure cell — from every worker, and the
-   submitting domain settles the real [t] once, after the fan-in. The
-   guard checks against the budget headroom captured at [make] time;
-   that snapshot is exact because the owning domain is blocked inside
-   the parallel operator while workers run. *)
-module Shared = struct
-  type guard = {
-    owner : t;
-    produced : int Atomic.t;
-    failed : reason option Atomic.t;
-  }
-
-  let make owner =
-    { owner; produced = Atomic.make 0; failed = Atomic.make None }
-
-  (* First failure wins; later domains tripping a different guard lose
-     the race and simply stop. *)
-  let fail g r = ignore (Atomic.compare_and_set g.failed None (Some r))
-  let failure g = Atomic.get g.failed
-  let should_stop g = Atomic.get g.failed <> None
-
-  let charge g n =
-    let produced = n + Atomic.fetch_and_add g.produced n in
-    if g.owner.total + produced > g.owner.max_total then fail g Tuple_budget
-    else if produced > g.owner.max_tuples then fail g (Cardinality produced)
-    else begin
-      match g.owner.deadline with
-      | Some d when g.owner.clock () > d -> fail g Deadline
-      | _ -> ()
-    end;
-    not (should_stop g)
-
-  let produced g = Atomic.get g.produced
-
-  (* Back on the owning domain: surface the first failure as the usual
-     typed abort (leaving [total] untouched, like [charge]), otherwise
-     commit the produced count to the owner so later operators see it. *)
-  let settle g =
-    match Atomic.get g.failed with
-    | Some r -> raise (Abort r)
-    | None ->
-      let n = Atomic.get g.produced in
-      if n > 0 then owner_charge g.owner n
-
-  let check_interval g = g.owner.check_interval
-end
-
 let describe = function
   | Deadline -> "wall-clock deadline exceeded"
   | Tuple_budget -> "total tuple budget exhausted"

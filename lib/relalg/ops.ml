@@ -219,225 +219,6 @@ let hash_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
     done
   end
 
-(* ------------------------------------------------------------------ *)
-(* Hash-partitioned parallel join.
-
-   Radix-partition both sides by join-key hash into one shard per pool
-   domain, join each shard independently into a private staging arena,
-   then fold the shards back into the output arena in shard order.
-   Equal keys hash equally, so matching rows always land in the same
-   shard and the union of the shard joins is exactly the sequential
-   join's tuple set; within a shard the kernel is the same
-   build-on-smaller chained-bucket hash join as [hash_join].
-
-   Sharding uses a Fibonacci remix of the key hash's high bits while the
-   in-shard table indexes with the low bits ([land mask]), so the two
-   hash uses stay independent and shard tables don't degenerate.
-
-   Budget cooperation: workers never touch the caller's [Limits.t];
-   they charge a [Limits.Shared] guard (atomic counter + write-once
-   failure cell) every [check_interval] tuples and bail out as soon as
-   any domain trips it. The submitting domain settles the guard after
-   the fan-in, re-raising the first failure as the usual typed abort. *)
-
-module Pool = Parallel.Pool
-
-let shard_of h p = ((h * 0x9e3779b97f4a7c1) land max_int) lsr 30 mod p
-
-exception Shard_cut
-
-let parallel_hash_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
-  let nr = Arena.count ar and ns = Arena.count as_ in
-  let dr = Arena.data ar and wr = Arena.arity ar in
-  let ds = Arena.data as_ and ws = Arena.arity as_ in
-  let klen = Array.length key_r in
-  let nrest = Array.length rest_s in
-  let p = Pool.size pool in
-  let guard = Option.map Limits.Shared.make limits in
-  let interval =
-    match guard with
-    | Some g -> Limits.Shared.check_interval g
-    | None -> max_int
-  in
-  (* Pass 1: key hash of every row of both sides, in parallel by range.
-     The hashes drive the shard split and are reused by the in-shard
-     tables, so each key is hashed exactly once, as in the sequential
-     kernel. *)
-  let hash_r = Array.make (max 1 nr) 0 in
-  let hash_s = Array.make (max 1 ns) 0 in
-  let hash_range d w key target lo hi =
-    if klen = 1 then begin
-      let k0 = key.(0) in
-      for row = lo to hi - 1 do
-        Array.unsafe_set target row
-          (hash1 (Array.unsafe_get d ((row * w) + k0)))
-      done
-    end
-    else
-      for row = lo to hi - 1 do
-        let base = row * w in
-        let h = ref fnv_seed in
-        for k = 0 to klen - 1 do
-          h :=
-            (!h lxor Array.unsafe_get d (base + Array.unsafe_get key k))
-            * fnv_prime
-        done;
-        Array.unsafe_set target row (!h land max_int)
-      done
-  in
-  let ranges n =
-    List.filter
-      (fun (lo, hi) -> hi > lo)
-      (List.init p (fun i -> (i * n / p, (i + 1) * n / p)))
-  in
-  ignore
-    (Pool.run pool
-       (List.map
-          (fun (lo, hi) () -> hash_range dr wr key_r hash_r lo hi)
-          (ranges nr)
-       @ List.map
-           (fun (lo, hi) () -> hash_range ds ws key_s hash_s lo hi)
-           (ranges ns)));
-  (* Pass 2: one task per shard — gather the shard's row ids on both
-     sides, hash-join them, stage matches into a private arena. *)
-  let gather hashes n shard =
-    let count = ref 0 in
-    for row = 0 to n - 1 do
-      if shard_of (Array.unsafe_get hashes row) p = shard then incr count
-    done;
-    let rows = Array.make (max 1 !count) 0 in
-    let fill = ref 0 in
-    for row = 0 to n - 1 do
-      if shard_of (Array.unsafe_get hashes row) p = shard then begin
-        Array.unsafe_set rows !fill row;
-        incr fill
-      end
-    done;
-    (rows, !count)
-  in
-  let join_shard shard =
-    let rrows, crp = gather hash_r nr shard in
-    let srows, csp = gather hash_s ns shard in
-    let ao = Arena.create ~size_hint:(max 16 (max crp csp)) (Arena.arity aout) in
-    if crp > 0 && csp > 0 then begin
-      let build_on_r = crp <= csp in
-      let brows, nb, bhash, db, wb, key_b =
-        if build_on_r then (rrows, crp, hash_r, dr, wr, key_r)
-        else (srows, csp, hash_s, ds, ws, key_s)
-      in
-      let prows, np, phash, dp, wp, key_p =
-        if build_on_r then (srows, csp, hash_s, ds, ws, key_s)
-        else (rrows, crp, hash_r, dr, wr, key_r)
-      in
-      let slot_len = pow2_at_least (max 16 (2 * nb)) 16 in
-      let mask = slot_len - 1 in
-      let slots = Array.make slot_len 0 in
-      let next = Array.make nb (-1) in
-      let keys_equal_bb b1 b2 =
-        let rec go k =
-          k >= klen
-          || Array.unsafe_get db (b1 + Array.unsafe_get key_b k)
-             = Array.unsafe_get db (b2 + Array.unsafe_get key_b k)
-             && go (k + 1)
-        in
-        go 0
-      in
-      let keys_equal_bp bbase pbase =
-        let rec go k =
-          k >= klen
-          || Array.unsafe_get db (bbase + Array.unsafe_get key_b k)
-             = Array.unsafe_get dp (pbase + Array.unsafe_get key_p k)
-             && go (k + 1)
-        in
-        go 0
-      in
-      for i = 0 to nb - 1 do
-        let row = Array.unsafe_get brows i in
-        let base = row * wb in
-        let j = ref (Array.unsafe_get bhash row land mask) in
-        let placing = ref true in
-        while !placing do
-          let s = Array.unsafe_get slots !j in
-          if s = 0 then begin
-            Array.unsafe_set slots !j (i + 1);
-            placing := false
-          end
-          else if keys_equal_bb (Array.unsafe_get brows (s - 1) * wb) base
-          then begin
-            Array.unsafe_set next i (s - 1);
-            Array.unsafe_set slots !j (i + 1);
-            placing := false
-          end
-          else j := (!j + 1) land mask
-        done
-      done;
-      (* Staged commits since the last guard charge; also used as the
-         cadence for noticing that another domain already failed. *)
-      let unflushed = ref 0 in
-      let flush () =
-        match guard with
-        | Some g ->
-          if not (Limits.Shared.charge g !unflushed) then raise Shard_cut;
-          unflushed := 0
-        | None -> unflushed := 0
-      in
-      let emit r_row s_row =
-        let base = Arena.stage ao in
-        let od = Arena.data ao in
-        Array.blit dr (r_row * wr) od base wr;
-        for k = 0 to nrest - 1 do
-          Array.unsafe_set od (base + wr + k)
-            (Array.unsafe_get ds ((s_row * ws) + Array.unsafe_get rest_s k))
-        done;
-        if Arena.commit_staged ao then begin
-          incr unflushed;
-          if !unflushed >= interval then flush ()
-        end
-      in
-      let rec emit_chain i prow =
-        if i >= 0 then begin
-          let brow = Array.unsafe_get brows i in
-          if build_on_r then emit brow prow else emit prow brow;
-          emit_chain (Array.unsafe_get next i) prow
-        end
-      in
-      (try
-         for i = 0 to np - 1 do
-           let prow = Array.unsafe_get prows i in
-           let pbase = prow * wp in
-           let j = ref (Array.unsafe_get phash prow land mask) in
-           let probing = ref true in
-           while !probing do
-             let s = Array.unsafe_get slots !j in
-             if s = 0 then probing := false
-             else if
-               keys_equal_bp (Array.unsafe_get brows (s - 1) * wb) pbase
-             then begin
-               emit_chain (s - 1) prow;
-               probing := false
-             end
-             else j := (!j + 1) land mask
-           done;
-           if
-             i land 1023 = 1023
-             && (match guard with
-                | Some g -> Limits.Shared.should_stop g
-                | None -> false)
-           then raise Shard_cut
-         done;
-         flush ()
-       with Shard_cut -> ())
-    end;
-    ao
-  in
-  let shard_arenas = Pool.run pool (List.init p (fun i () -> join_shard i)) in
-  (* Fan-in on the submitting domain: first surface any typed abort, then
-     fold the shards into the output in shard order — deterministic, and
-     duplicate-free by construction since a tuple's shard is a function
-     of its key. *)
-  (match guard with Some g -> Limits.Shared.settle g | None -> ());
-  List.iter (fun a -> Arena.absorb aout a) shard_arenas
-
 (* Hash join. The build side is the smaller input; the probe side streams.
    Output columns are always [r] then [s \ r], regardless of which side was
    built on, so the operator is deterministic for callers. *)
@@ -459,18 +240,7 @@ let natural_join ?(ctx = Ctx.null) r s =
   in
   let ar = Relation.arena r and as_ = Relation.arena s in
   let aout = Relation.arena out in
-  (match Ctx.pool ctx with
-  | Some pool
-    when Pool.size pool > 1
-         && Array.length key_r > 0
-         && Arena.count ar + Arena.count as_ >= Pool.grain pool ->
-    parallel_hash_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s;
-    (match sp with
-    | Some (_, sp) ->
-      Telemetry.Span.set_attr sp "parallel.shards"
-        (Telemetry.Attr.Int (Pool.size pool))
-    | None -> ())
-  | _ -> hash_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s);
+  hash_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s;
   note_result stats limits out;
   finish_join sp r s out;
   out

@@ -2,8 +2,8 @@
 
     Every operator materializes its result (set semantics). All operators
     accept a single optional execution context ({!Ctx.t}) bundling the
-    stats, limits, telemetry and domain pool that used to be separate
-    optionals. With stats, callers can
+    stats, limits and telemetry that used to be separate optionals.
+    Every operator runs on the calling domain. With stats, callers can
     measure the quantities the paper studies — maximum intermediate arity
     and cardinality; with limits, bound runaway evaluations; with
     telemetry, each operator runs inside a span named [op.*] carrying
@@ -28,15 +28,7 @@ val natural_join : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
     smaller input; the index is built directly over the join-key
     columns of the build arena (single-attribute keys take a further
     specialized path). Degenerates to the cartesian product when the
-    schemas are disjoint.
-
-    With a pool in the context ([Ctx.with_pool]) and operands at
-    least [Pool.grain] rows big, the join runs hash-partitioned across
-    the pool's domains: both sides are radix-split on the join-key hash
-    into one shard per domain, shards join independently into private
-    arenas, and the results merge back in shard order — the same tuple
-    set as the sequential kernel, with typed aborts still firing via
-    {!Limits.Shared}. *)
+    schemas are disjoint. *)
 
 val product : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 (** Cartesian product. @raise Invalid_argument if schemas intersect. *)

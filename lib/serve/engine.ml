@@ -103,7 +103,6 @@ type parked = {
 type t = {
   cfg : config;
   db : Conjunctive.Database.t;
-  pool : Parallel.Pool.t option;
   metrics : Metrics.t;
   cache : Driver.compiled Plan_cache.t;
   store : Adapt.Store.t;
@@ -500,11 +499,7 @@ let run_session t (q : Wire.query) (work : work) ~queue_seconds ~deadline_abs
            across all concurrent sessions. *)
         let telemetry = Telemetry.create ~metrics:t.metrics Telemetry.Sink.null in
         Fun.protect ~finally:(fun () -> Telemetry.close telemetry) @@ fun () ->
-        let ctx =
-          match t.pool with
-          | Some pool -> Relalg.Ctx.create ~telemetry ~pool ()
-          | None -> Relalg.Ctx.create ~telemetry ()
-        in
+        let ctx = Relalg.Ctx.create ~telemetry () in
         let finish (outcome : Driver.outcome) ~rungs ~rescued ~approximate =
           match (outcome.Driver.status, outcome.Driver.result) with
           | Driver.Completed, Some relation ->
@@ -784,7 +779,7 @@ let warm_line t line =
         true)
   end
 
-let create ?(config = default_config) ?pool db =
+let create ?(config = default_config) db =
   if config.workers < 1 then invalid_arg "Engine.create: workers < 1";
   if config.queue_depth < 1 then invalid_arg "Engine.create: queue_depth < 1";
   (* Plugin planners must resolve before any compile — a registry miss
@@ -794,7 +789,6 @@ let create ?(config = default_config) ?pool db =
     {
       cfg = config;
       db;
-      pool;
       metrics = Metrics.create ();
       cache = Plan_cache.create ~capacity:config.cache_capacity ();
       store = Adapt.Store.create ();

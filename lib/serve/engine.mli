@@ -107,9 +107,9 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?pool:Parallel.Pool.t -> Conjunctive.Database.t -> t
-(** Spawns [config.workers] domains immediately. [pool] is shared by all
-    sessions for parallel operators (the pool is multi-submitter safe). *)
+val create : ?config:config -> Conjunctive.Database.t -> t
+(** Spawns [config.workers] domains immediately. Each session runs on
+    the worker domain that picked it up. *)
 
 val submit_async :
   ?client:int -> t -> Wire.request -> reply:(Wire.response -> unit) -> unit

@@ -74,23 +74,81 @@ let close_conn t conn =
   Hashtbl.remove t.conns conn.cid;
   Mutex.unlock t.conns_lock
 
+(* Request lines are read with a fixed cap, so no connection can make
+   its reader hold more than [max_line_bytes] of one line: a longer line
+   is skipped through its newline and answered with one [Bad_request]. *)
+let max_line_bytes = 1 lsl 20
+
+(* A reader of capped lines over [fd]. Each call returns the next line
+   without its newline, [`Too_long] for a line over the cap (consumed
+   through its newline or the end of input), or [`Eof] at end of input
+   or on a socket error. A last line with no newline is still returned,
+   as [input_line] does. *)
+let line_reader fd =
+  let chunk = Bytes.create 65536 in
+  let pos = ref 0 and len = ref 0 in
+  let line = Buffer.create 4096 in
+  let rec refill () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | n ->
+      pos := 0;
+      len := n;
+      n > 0
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill ()
+    | exception Unix.Unix_error _ -> false
+  in
+  let rec go overflow =
+    if !pos >= !len && not (refill ()) then
+      if overflow then `Too_long
+      else if Buffer.length line > 0 then `Line (Buffer.contents line)
+      else `Eof
+    else begin
+      let stop =
+        match Bytes.index_from_opt chunk !pos '\n' with
+        | Some i when i < !len -> i
+        | _ -> !len
+      in
+      let n = stop - !pos in
+      let overflow = overflow || Buffer.length line + n > max_line_bytes in
+      if overflow then Buffer.clear line
+      else Buffer.add_subbytes line chunk !pos n;
+      if stop = !len then begin
+        pos := !len;
+        go overflow
+      end
+      else begin
+        pos := stop + 1;
+        if overflow then `Too_long else `Line (Buffer.contents line)
+      end
+    end
+  in
+  fun () ->
+    Buffer.clear line;
+    go false
+
 let serve_conn t conn =
-  let ic = Unix.in_channel_of_descr conn.fd in
+  let read_line = line_reader conn.fd in
   let rec loop () =
-    match input_line ic with
-    | line ->
+    match read_line () with
+    | `Eof -> ()
+    | `Too_long ->
+      send conn
+        (Wire.Failed
+           ( Telemetry.Json.Null,
+             Wire.Bad_request,
+             Printf.sprintf "request line longer than %d bytes"
+               max_line_bytes ));
+      loop ()
+    | `Line line ->
       let line = String.trim line in
       if line <> "" then begin
         match Wire.parse_request line with
-        | Error (msg, id) ->
-          send conn (Wire.Failed (id, Wire.Parse_error, msg))
+        | Error (kind, msg, id) -> send conn (Wire.Failed (id, kind, msg))
         | Ok request ->
           Engine.submit_async ~client:conn.cid t.engine request
             ~reply:(send conn)
       end;
       loop ()
-    | exception End_of_file -> ()
-    | exception Sys_error _ -> ()
   in
   Fun.protect ~finally:(fun () -> close_conn t conn) loop
 
@@ -154,11 +212,11 @@ let listen_socket address =
     Unix.listen fd 64;
     fd
 
-let start ?config ?pool ~db address =
+let start ?config ~db address =
   let listen_fd = listen_socket address in
   let t =
     {
-      engine = Engine.create ?config ?pool db;
+      engine = Engine.create ?config db;
       address;
       listen_fd;
       stop_flag = Atomic.make false;

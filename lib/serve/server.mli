@@ -4,7 +4,9 @@
     [select] waits, so {!request_stop} is honored within ~200ms); each
     connection gets a reader thread parsing line-delimited JSON requests
     ({!Wire}) and an exclusive write lock serializing responses from the
-    worker domains. Responses may arrive out of request order — clients
+    worker domains. A request line longer than 1 MiB is skipped through
+    its newline and answered with one [bad-request] error; the
+    connection keeps serving. Responses may arrive out of request order — clients
     correlate by the echoed ["id"].
 
     Shutdown ({!stop}, or {!request_stop} from a signal handler followed
@@ -22,7 +24,6 @@ type t
 
 val start :
   ?config:Engine.config ->
-  ?pool:Parallel.Pool.t ->
   db:Conjunctive.Database.t ->
   address ->
   t

@@ -1,6 +1,31 @@
 module Json = Telemetry.Json
 
 (* ------------------------------------------------------------------ *)
+(* Error kinds, shared by rejected requests and failed responses.      *)
+
+type error_kind =
+  | Bad_request
+  | Parse_error
+  | Overloaded
+  | Shed_cost
+  | Shed_quota
+  | Shutting_down
+  | Cursor_expired
+  | Aborted of string  (** the {!Relalg.Limits.reason_label} *)
+  | Internal
+
+let error_kind_label = function
+  | Bad_request -> "bad-request"
+  | Parse_error -> "parse"
+  | Overloaded -> "overloaded"
+  | Shed_cost -> "shed-cost"
+  | Shed_quota -> "shed-quota"
+  | Shutting_down -> "shutting-down"
+  | Cursor_expired -> "cursor-expired"
+  | Aborted _ -> "abort"
+  | Internal -> "internal"
+
+(* ------------------------------------------------------------------ *)
 (* Requests.                                                           *)
 
 type query = {
@@ -113,35 +138,18 @@ let of_json obj =
     | Some _ -> Error ("\"op\" must be a string", id))
   | _ -> Error ("request must be a JSON object", Json.Null)
 
+(* A line that is not JSON is a [Parse_error]; JSON that is not a valid
+   request is a [Bad_request]. *)
 let parse_request line =
   match Jsonl.parse line with
-  | Error msg -> Error ("malformed JSON: " ^ msg, Json.Null)
-  | Ok obj -> of_json obj
+  | Error msg -> Error (Parse_error, "malformed JSON: " ^ msg, Json.Null)
+  | Ok obj -> (
+    match of_json obj with
+    | Ok r -> Ok r
+    | Error (msg, id) -> Error (Bad_request, msg, id))
 
 (* ------------------------------------------------------------------ *)
 (* Responses.                                                          *)
-
-type error_kind =
-  | Bad_request
-  | Parse_error
-  | Overloaded
-  | Shed_cost
-  | Shed_quota
-  | Shutting_down
-  | Cursor_expired
-  | Aborted of string  (** the {!Relalg.Limits.reason_label} *)
-  | Internal
-
-let error_kind_label = function
-  | Bad_request -> "bad-request"
-  | Parse_error -> "parse"
-  | Overloaded -> "overloaded"
-  | Shed_cost -> "shed-cost"
-  | Shed_quota -> "shed-quota"
-  | Shutting_down -> "shutting-down"
-  | Cursor_expired -> "cursor-expired"
-  | Aborted _ -> "abort"
-  | Internal -> "internal"
 
 type answer = {
   cardinality : int;

@@ -26,6 +26,28 @@
 
 module Json = Telemetry.Json
 
+type error_kind =
+  | Bad_request
+  | Parse_error
+  | Overloaded  (** shed by admission control: retry later, not a bug *)
+  | Shed_cost
+      (** shed because the query's structural cost estimate exceeds the
+          per-query ceiling, or the backlog's aggregate estimated cost
+          exceeds the queue ceiling — rewriting the query (or retrying
+          when the backlog drains) may help; retrying verbatim against a
+          per-query shed will not *)
+  | Shed_quota
+      (** shed because this client already has its quota of queued jobs
+          — drain your own backlog first; other clients are unaffected *)
+  | Shutting_down
+  | Cursor_expired
+      (** the continuation token was never issued, already used, or its
+          parked cursor was LRU-evicted — restart the pagination *)
+  | Aborted of string  (** the {!Relalg.Limits.reason_label} *)
+  | Internal
+
+val error_kind_label : error_kind -> string
+
 type query = {
   id : Json.t;
   text : string;
@@ -48,40 +70,24 @@ type request =
   | Metrics of Json.t
   | Stats of Json.t
 
-val parse_request : string -> (request, string * Json.t) result
-(** Parse one protocol line. [Error] carries a diagnostic and the
-    request id when one could still be extracted (so the error response
-    can be correlated). *)
+val parse_request : string -> (request, error_kind * string * Json.t) result
+(** Parse one protocol line. [Error] carries the error kind, a
+    diagnostic and the request id when one could still be extracted (so
+    the error response can be correlated). The kind is [Parse_error]
+    when the line is not JSON (including JSON nested more than 512
+    levels deep) and [Bad_request] when it is JSON that
+    {!of_json} rejects: a non-object, a missing or unknown ["op"], or a
+    field of the wrong type. *)
 
 val of_json : Json.t -> (request, string * Json.t) result
+(** Decode a parsed JSON value; [Error] carries a diagnostic and the
+    request id, if any. *)
 
 val field : Json.t -> string -> Json.t option
 (** Object field lookup; [None] on non-objects and absent fields. *)
 
 val request_id : Json.t -> Json.t
 (** The ["id"] field, or [Null]. *)
-
-type error_kind =
-  | Bad_request
-  | Parse_error
-  | Overloaded  (** shed by admission control: retry later, not a bug *)
-  | Shed_cost
-      (** shed because the query's structural cost estimate exceeds the
-          per-query ceiling, or the backlog's aggregate estimated cost
-          exceeds the queue ceiling — rewriting the query (or retrying
-          when the backlog drains) may help; retrying verbatim against a
-          per-query shed will not *)
-  | Shed_quota
-      (** shed because this client already has its quota of queued jobs
-          — drain your own backlog first; other clients are unaffected *)
-  | Shutting_down
-  | Cursor_expired
-      (** the continuation token was never issued, already used, or its
-          parked cursor was LRU-evicted — restart the pagination *)
-  | Aborted of string  (** the {!Relalg.Limits.reason_label} *)
-  | Internal
-
-val error_kind_label : error_kind -> string
 
 type answer = {
   cardinality : int;

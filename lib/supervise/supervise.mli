@@ -80,8 +80,8 @@ val run :
     [sleep] is true (default false: ladder retries are synchronous
     recomputation, so sleeping only matters for transient external
     faults). [chaos] arms a fault on the attempts in its scope. [clock]
-    is forwarded to the budget's limits. [ctx] supplies telemetry and the
-    domain pool to every rung; each rung's limits come from its scaled
+    is forwarded to the budget's limits. [ctx] supplies telemetry to
+    every rung; each rung's limits come from its scaled
     budget, overriding any limits in [ctx]. With telemetry, every rung
     runs in a [supervise.rung] span (attributes: rung index, method, completion
     status or abort reason), rung wall time feeds the

@@ -8,7 +8,6 @@ module Schema = Relalg.Schema
 module Ctx = Relalg.Ctx
 module Limits = Relalg.Limits
 module Stats = Relalg.Stats
-module Pool = Parallel.Pool
 
 type decision = Generic | Binary
 
@@ -78,18 +77,6 @@ let bounds ?rng db cq =
 (* ------------------------------------------------------------------ *)
 (* The evaluator.                                                      *)
 
-(* Raised inside a worker when the shared guard says stop; the typed
-   abort surfaces on the owning domain via [Limits.Shared.settle]. *)
-exception Cut
-
-type runner = {
-  run_enumerate : int -> unit;
-  run_extension : int -> bool;
-  bind_top : int -> bool;
-  top_values : unit -> int list;
-  binding : int array;
-}
-
 let validate_order cq order =
   if List.sort compare order <> Cq.vars cq then
     invalid_arg "Wcoj.evaluate: order is not a permutation of the query's variables";
@@ -104,28 +91,6 @@ let validate_order cq order =
   in
   prefix cq.Cq.free order;
   List.length order
-
-(* Split [xs] into at most [n] contiguous chunks of near-equal length,
-   preserving order (so the parallel fan-in is deterministic). *)
-let chunk_list n xs =
-  let len = List.length xs in
-  let n = max 1 (min n len) in
-  let base = len / n and extra = len mod n in
-  let rec take k xs acc =
-    if k = 0 then (List.rev acc, xs)
-    else
-      match xs with
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (k - 1) rest (x :: acc)
-  in
-  let rec go i xs acc =
-    if i = n then List.rev acc
-    else
-      let size = base + if i < extra then 1 else 0 in
-      let chunk, rest = take size xs [] in
-      go (i + 1) rest (chunk :: acc)
-  in
-  List.filter (fun c -> c <> []) (go 0 xs [])
 
 (* Index the materialized atoms as sorted tries along [order]:
    [parts.(d)] lists the (trie, level) pairs whose variable binds at
@@ -157,10 +122,11 @@ let build_index ~span ~order ~k rels =
       parts;
   (tries, parts)
 
-(* One engine = one domain's private search state over the shared
-   read-only tries: per-trie range stacks ([los]/[his] level [l] holds
-   the row window consistent with the first [l] bound variables of
-   that trie) plus the current variable binding. *)
+(* The search state over the read-only tries: per-trie range stacks
+   ([los]/[his] level [l] holds the row window consistent with the
+   first [l] bound variables of that trie) plus the current variable
+   binding. Returns the enumeration from a given depth; [enumerate 0]
+   runs the whole search. *)
 let make_engine ~tries ~parts ~k ~n_free ~tick ~emit =
   let los = Array.map (fun tr -> Array.make (Trie.width tr + 1) 0) tries in
   let his =
@@ -241,34 +207,7 @@ let make_engine ~tries ~parts ~k ~n_free ~tick ~emit =
              enumerate (d + 1);
              false))
   in
-  (* External depth-0 binding, for the pool partitions: the value is
-     already known to be in the top-level intersection. *)
-  let bind_top v =
-    let ok = ref true in
-    Array.iter
-      (fun (i, _l) ->
-        let rows = Trie.rows tries.(i) in
-        let s = Trie.seek tries.(i) ~level:0 ~lo:0 ~hi:rows v in
-        if s >= rows || Trie.value tries.(i) ~level:0 ~row:s <> v then
-          ok := false
-        else begin
-          los.(i).(1) <- s;
-          his.(i).(1) <- Trie.strictly_above tries.(i) ~level:0 ~lo:s ~hi:rows v
-        end)
-      parts.(0);
-    if !ok then binding.(0) <- v;
-    !ok
-  in
-  let top_values () =
-    let acc = ref [] in
-    ignore
-      (scan 0 (fun () ->
-           acc := binding.(0) :: !acc;
-           false));
-    List.rev !acc
-  in
-  { run_enumerate = enumerate; run_extension = extension; bind_top;
-    top_values; binding }
+  enumerate
 
 let evaluate ?(ctx = Ctx.null) ?order db cq =
   let order =
@@ -303,94 +242,16 @@ let evaluate ?(ctx = Ctx.null) ?order db cq =
   let out = Relation.create (Schema.of_list cq.Cq.free) in
   if not (List.exists Relation.is_empty rels) then begin
     let tries, parts = build_index ~span ~order ~k rels in
-    let make_engine = make_engine ~tries ~parts ~k ~n_free in
-    let seq_tick () =
+    let tick () =
       match limits with Some l -> Limits.charge l 1 | None -> ()
     in
-    let seq_emit binding =
+    let emit binding =
       if Relation.add out (Array.sub binding 0 n_free) then
         match limits with
         | Some l -> Limits.check_cardinality l (Relation.cardinality out)
         | None -> ()
     in
-    let pool =
-      match Ctx.pool ctx with
-      | Some p when Pool.size p > 1 && telemetry = None && k > 0 -> Some p
-      | _ -> None
-    in
-    match pool with
-    | None ->
-      let eng = make_engine ~tick:seq_tick ~emit:seq_emit in
-      eng.run_enumerate 0
-    | Some p ->
-      (* Partition the top variable's candidate values across the pool.
-         The owner leapfrogs the top level once (charging its own limits,
-         which raise typed aborts directly); workers search their chunks
-         into private relations under the shared guard; the fan-in walks
-         the shards in chunk order, so the merged output is deterministic
-         and tuple-identical to the sequential run. *)
-      let owner = make_engine ~tick:seq_tick ~emit:seq_emit in
-      let vals = owner.top_values () in
-      if List.length vals <= 1 then owner.run_enumerate 0
-      else begin
-        let guard = Option.map Limits.Shared.make limits in
-        let interval =
-          match guard with
-          | Some g -> Limits.Shared.check_interval g
-          | None -> max_int
-        in
-        let tasks =
-          List.map
-            (fun chunk () ->
-              let local = Relation.create (Schema.of_list cq.Cq.free) in
-              let unflushed = ref 0 in
-              let flush () =
-                match guard with
-                | Some g when !unflushed > 0 ->
-                  let n = !unflushed in
-                  unflushed := 0;
-                  if not (Limits.Shared.charge g n) then raise Cut
-                | _ -> unflushed := 0
-              in
-              let tick () =
-                incr unflushed;
-                if !unflushed >= interval then flush ()
-              in
-              let emit binding =
-                ignore (Relation.add local (Array.sub binding 0 n_free))
-              in
-              let eng = make_engine ~tick ~emit in
-              (try
-                 if n_free = 0 then begin
-                   if
-                     List.exists
-                       (fun v -> eng.bind_top v && eng.run_extension 1)
-                       chunk
-                   then ignore (Relation.add local [||])
-                 end
-                 else
-                   List.iter
-                     (fun v -> if eng.bind_top v then eng.run_enumerate 1)
-                     chunk
-               with Cut -> ());
-              (* Flush the residue so the owner's total stays exact. *)
-              (match guard with
-              | Some g when !unflushed > 0 ->
-                ignore (Limits.Shared.charge g !unflushed)
-              | _ -> ());
-              local)
-            (chunk_list (4 * Pool.size p) vals)
-        in
-        let shards = Pool.run p tasks in
-        (match guard with Some g -> Limits.Shared.settle g | None -> ());
-        List.iter
-          (fun shard ->
-            Relation.iter (fun tup -> ignore (Relation.add out tup)) shard)
-          shards;
-        (match limits with
-        | Some l -> Limits.check_cardinality l (Relation.cardinality out)
-        | None -> ())
-      end
+    make_engine ~tries ~parts ~k ~n_free ~tick ~emit 0
   end;
   (match stats with
   | Some s ->
@@ -400,19 +261,16 @@ let evaluate ?(ctx = Ctx.null) ?order db cq =
   | None -> ());
   out
 
-(* Streaming evaluation: the same search as [evaluate]'s sequential
-   engine, but each accepted free prefix is handed to [emit] instead of
-   being materialized. The leapfrog scan enumerates each depth's values
-   in strictly increasing order, so emissions are distinct and
+(* Streaming evaluation: the same search as [evaluate], but each
+   accepted free prefix is handed to [emit] instead of being
+   materialized. The leapfrog scan enumerates each depth's values in
+   strictly increasing order, so emissions are distinct and
    lexicographic along [order]'s free prefix — no dedup state is needed
-   downstream. Strictly sequential (any pool in the context is ignored:
-   partitioned search would reorder and privatize emissions). Setup —
-   atom scans and the trie index — runs inside an [op.wcoj.stream]
-   span; the enumeration itself runs outside any span, because a
+   downstream. Setup — atom scans and the trie index — runs inside an
+   [op.wcoj.stream] span; the enumeration itself runs outside any span, because a
    consumer that suspends mid-stream (an effect-inverted cursor) must
    not hold a span open across pulls. *)
 let iter ?(ctx = Ctx.null) ?order db cq emit =
-  let ctx = Ctx.without_pool ctx in
   let order =
     match order with
     | Some o -> o
@@ -463,5 +321,4 @@ let iter ?(ctx = Ctx.null) ?order db cq emit =
       | None -> ());
       emit (Array.sub binding 0 n_free)
     in
-    let eng = mk ~tick ~emit in
-    eng.run_enumerate 0
+    mk ~tick ~emit 0

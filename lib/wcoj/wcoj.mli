@@ -73,12 +73,8 @@ val evaluate :
     through [Database.eval_atom] (scan spans, stats, limits), each
     accepted value binding and emitted row charges the context's limits,
     and the whole join runs in an [op.wcoj.join] span with the index
-    build in a nested [op.wcoj.index] span. With a pool in the context
-    (and no telemetry, whose span stack is single-domain), the top
-    variable's candidate values are partitioned across the pool's
-    domains; each worker searches its chunk into a private relation
-    under a {!Relalg.Limits.Shared} guard and the owner merges the
-    shards deterministically — tuple-identical to the sequential run.
+    build in a nested [op.wcoj.index] span. The search runs on the
+    calling domain.
 
     @raise Relalg.Limits.Abort when a resource guard trips.
     @raise Invalid_argument on a malformed [order].
@@ -97,8 +93,7 @@ val iter :
     Emissions are duplicate-free and lexicographically ordered along the
     free prefix of [order] — the leapfrog scan visits each depth's
     values strictly increasing — so no dedup state is needed downstream.
-    Strictly sequential: a pool in the context is ignored (partitioned
-    search would reorder and privatize emissions). Setup (atom scans,
+    Setup (atom scans,
     trie index) runs inside an [op.wcoj.stream] span; enumeration runs
     outside any span so a consumer suspending mid-stream cannot hold a
     span open. Each accepted binding charges the context's limits and

@@ -266,10 +266,11 @@ let prop_non_boolean_matches_oracle =
         got = all_colorings g ~keep)
 
 (* Every method under its own routing, then GHD under each forced gate
-   route, each checked materialized through [Driver.run] and drained
-   through [Exec.stream] against {!Helpers.brute_force_cq} on random
+   route, each checked against {!Helpers.brute_force_cq} on random
    multi-relation queries (mixed arities, repeated variables, an empty
-   relation, Boolean heads). *)
+   relation, Boolean heads): materialized through [Driver.run], drained
+   through [Exec.stream], and paged through [Driver.run ~limit] with
+   and without [~rank]. *)
 let oracle_routes =
   List.map
     (fun m -> (Driver.method_name m, m, None))
@@ -283,9 +284,21 @@ let oracle_routes =
         ("ghd forced " ^ route, Driver.Ghd, Some (route, decision)))
       [ ("bucket", Ghd.Bucket); ("generic", Ghd.Generic); ("ghd", Ghd.Ghd) ]
 
-(* The answers of one route on [cq] — materialized through [Driver.run]
-   and drained through [Exec.stream] — and whether a forced gate route
-   is the one the prepared artifact took. *)
+(* The page size of the limited and ranked oracle runs. *)
+let oracle_page = 2
+
+(* What one route answers on [cq]. [limited] is the page of
+   [Driver.run ~limit] with its [complete] flag; [ranked] is the page of
+   [Driver.run ~rank ~limit] under the oracle's own order (rows in head
+   order, lexicographic). *)
+type route_answers = {
+  materialized : int list list option;
+  drained : int list list;
+  limited : (int list list * bool) option;
+  ranked : int list list option;
+  routed : bool;  (** a forced gate route is the one the artifact took *)
+}
+
 let route_answers (_, meth, forced) db cq =
   let run () =
     let outcome = Driver.run ~rng:(rng 1) meth db cq in
@@ -298,9 +311,51 @@ let route_answers (_, meth, forced) db cq =
       | Some _, _ -> false
     in
     let answers rel = rows_in_order cq.Cq.free rel in
-    (Option.map answers outcome.Driver.result, answers drained, routed)
+    let limited =
+      Driver.run ~rng:(rng 1) ~limit:oracle_page meth db cq
+    in
+    (* Rank by the head-order row, the oracle's sort key; the stream's
+       column order is read off the limited page's schema, which comes
+       from the same streamed path. *)
+    let rank =
+      let schema =
+        Relation.schema
+          (Option.value limited.Driver.result ~default:drained)
+      in
+      let cols = List.map (Relalg.Schema.index schema) cq.Cq.free in
+      let key t = List.map (Relalg.Tuple.get t) cols in
+      fun a b ->
+        match compare (key a) (key b) with
+        | 0 -> Relalg.Tuple.compare a b
+        | c -> c
+    in
+    let ranked =
+      Driver.run ~rng:(rng 1) ~rank ~limit:oracle_page meth db cq
+    in
+    {
+      materialized = Option.map answers outcome.Driver.result;
+      drained = answers drained;
+      limited =
+        Option.map
+          (fun rel -> (answers rel, limited.Driver.complete))
+          limited.Driver.result;
+      ranked = Option.map answers ranked.Driver.result;
+      routed;
+    }
   in
   match forced with None -> run () | Some (route, _) -> with_gate route run
+
+(* The limited page holds [min k |oracle|] distinct oracle rows and is
+   complete iff the oracle has at most [k] rows; the ranked page is the
+   oracle's first [k] rows. *)
+let limited_ok expected (page, complete) =
+  let n = List.length expected in
+  List.length page = min oracle_page n
+  && List.for_all (fun row -> List.mem row expected) page
+  && complete = (n <= oracle_page)
+
+let ranked_expected expected =
+  List.filteri (fun i _ -> i < oracle_page) expected
 
 let prop_every_route_matches_oracle =
   qtest ~count:150 "every method and forced route = brute force (random CQs)"
@@ -309,8 +364,12 @@ let prop_every_route_matches_oracle =
       let expected = brute_force_cq db cq in
       List.for_all
         (fun ((name, _, _) as route) ->
-          let materialized, drained, routed = route_answers route db cq in
-          (routed && materialized = Some expected && drained = expected)
+          let r = route_answers route db cq in
+          (r.routed
+          && r.materialized = Some expected
+          && r.drained = expected
+          && Option.fold ~none:false ~some:(limited_ok expected) r.limited
+          && r.ranked = Some (ranked_expected expected))
           || QCheck.Test.fail_reportf "%s disagrees with the oracle" name)
         oracle_routes)
 
@@ -363,11 +422,20 @@ let oracle_route_suites =
             Alcotest.test_case name `Quick (fun () ->
                 let cq = Cq.make ~atoms ~free in
                 let expected = brute_force_cq db cq in
-                let materialized, drained, routed = route_answers route db cq in
-                check_bool "took the forced route" true routed;
+                let r = route_answers route db cq in
+                check_bool "took the forced route" true r.routed;
                 Alcotest.(check (option rows))
-                  "materialized" (Some expected) materialized;
-                Alcotest.check rows "drained stream" expected drained))
+                  "materialized" (Some expected) r.materialized;
+                Alcotest.check rows "drained stream" expected r.drained;
+                check_bool
+                  (Printf.sprintf "limit %d page" oracle_page)
+                  true
+                  (Option.fold ~none:false ~some:(limited_ok expected)
+                     r.limited);
+                Alcotest.(check (option rows))
+                  (Printf.sprintf "rank + limit %d page" oracle_page)
+                  (Some (ranked_expected expected))
+                  r.ranked))
           oracle_instances ))
     oracle_routes
 

@@ -1,7 +1,6 @@
 (* Tests for decomposition-based evaluation: GHD search validity, the
    three-bound gate, and — the load-bearing property — tuple-identical
-   output against bucket elimination on acyclic AND cyclic instances,
-   sequentially and across a domain pool. *)
+   output against bucket elimination on acyclic AND cyclic instances. *)
 
 open Helpers
 module Cq = Conjunctive.Cq
@@ -10,7 +9,6 @@ module Relation = Relalg.Relation
 module Ctx = Relalg.Ctx
 module Limits = Relalg.Limits
 module Gen = Graphlib.Generators
-module Pool = Parallel.Pool
 module Hypergraph = Hypergraphs.Hypergraph
 module Hypertree = Hypergraphs.Hypertree
 module Gyo = Hypergraphs.Gyo
@@ -221,42 +219,6 @@ let test_fig3_misroute () =
     [ ("bool", Encode.Boolean); ("free20", Encode.Fraction 0.2) ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel evaluation                                                  *)
-
-let with_pool f =
-  let p = Pool.create ~num_domains:4 ~grain:1 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
-
-let test_parallel_identity () =
-  with_pool @@ fun p ->
-  let ctx = Ctx.create ~pool:p () in
-  List.iter
-    (fun (name, mode, g) ->
-      let db, cq = coloring ~mode g in
-      let seq = Ghd.evaluate db cq in
-      let par = Ghd.evaluate ~ctx db cq in
-      check_bool (name ^ ": pool result identical") true
-        (Relation.equal_modulo_order seq par))
-    [
-      ("free cyclic", Encode.Fraction 0.5, Gen.augmented_ladder 4);
-      ("free acyclic", Encode.Fraction 0.5, Gen.path 8);
-      ("bool dense", Encode.Boolean, random_graph ~seed:2 ~n:9 ~m:24);
-      ("bool unsat", Encode.Boolean, random_graph ~seed:4 ~n:7 ~m:21);
-    ]
-
-let prop_parallel_matches_sequential =
-  qtest ~count:25 "pool evaluation = sequential (random CQs)"
-    graph_arbitrary (fun g ->
-      with_pool @@ fun p ->
-      let ctx = Ctx.create ~pool:p () in
-      List.for_all
-        (fun mode ->
-          let db, cq = coloring ~mode g in
-          Relation.equal_modulo_order (Ghd.evaluate db cq)
-            (Ghd.evaluate ~ctx db cq))
-        [ Encode.Boolean; Encode.Fraction 0.4 ])
-
-(* ------------------------------------------------------------------ *)
 (* Driver integration: prepared artifacts and the ladder                *)
 
 let test_prepared_replay () =
@@ -369,11 +331,6 @@ let () =
                test_oracle_agreement;
              prop_matches_bucket;
              Alcotest.test_case "figure 3 misroute" `Quick test_fig3_misroute;
-           ] );
-         ( "parallel",
-           [
-             Alcotest.test_case "pool identity" `Quick test_parallel_identity;
-             prop_parallel_matches_sequential;
            ] );
          ( "driver",
            [

@@ -1,30 +1,21 @@
-(* Tests for the multicore execution subsystem: the domain pool itself,
-   and the hash-partitioned parallel join producing exactly the same
-   tuple sets as sequential execution.
+(* Tests for the domain pool that fans independent work (experiment
+   sweep cells, seeds) out over domains, and for telemetry shared
+   across domains.
 
    PPR_JOBS sets the pool width (default 4); CI runs the suite at 1 and
-   at 4, so every property here is checked both with a degenerate
+   at 4, so every test here is checked both with a degenerate
    single-domain pool (which executes inline) and a real one. *)
 
 open Helpers
 module Pool = Parallel.Pool
-module Schema = Relalg.Schema
-module Tuple = Relalg.Tuple
-module Relation = Relalg.Relation
-module Ops = Relalg.Ops
-module Ctx = Relalg.Ctx
-module Limits = Relalg.Limits
 
 let jobs =
   match Sys.getenv_opt "PPR_JOBS" with
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 4)
   | None -> 4
 
-(* One pool for the whole file; grain 1 so even tiny QCheck relations are
-   routed through the partitioned kernel instead of the sequential
-   fallback. *)
+(* One pool for the whole file. *)
 let pool = Pool.create ~num_domains:jobs ~grain:1 ()
-let par_ctx = Ctx.create ~pool ()
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
@@ -99,81 +90,6 @@ let test_pool_not_worker_outside () =
   check_bool "tasks run as workers" true (List.for_all Fun.id inside)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel join = sequential join, property-checked.                  *)
-
-let make_rel attrs rows =
-  let r = Relation.create (Schema.of_list attrs) in
-  List.iter (fun row -> ignore (Relation.add r (Tuple.of_list row))) rows;
-  r
-
-(* Two relations sharing attribute 1: R(0,1) and S(1,2), with values in
-   a small domain so joins actually match. *)
-let join_input_arbitrary =
-  QCheck.(
-    pair
-      (list_of_size (Gen.int_range 0 40) (pair (int_bound 12) (int_bound 12)))
-      (list_of_size (Gen.int_range 0 40) (pair (int_bound 12) (int_bound 12))))
-
-let equiv_props =
-  let name op = Printf.sprintf "jobs=1 = jobs=%d (%s)" jobs op in
-  let inputs (rs, ss) =
-    ( make_rel [ 0; 1 ] (List.map (fun (a, b) -> [ a; b ]) rs),
-      make_rel [ 1; 2 ] (List.map (fun (b, c) -> [ b; c ]) ss) )
-  in
-  [
-    qtest (name "join") join_input_arbitrary (fun input ->
-        let r, s = inputs input in
-        sorted_rows (Ops.natural_join r s)
-        = sorted_rows (Ops.natural_join ~ctx:par_ctx r s));
-    qtest (name "project of join") join_input_arbitrary (fun input ->
-        let r, s = inputs input in
-        let keep = Schema.of_list [ 0; 2 ] in
-        sorted_rows (Ops.project (Ops.natural_join r s) keep)
-        = sorted_rows
-            (Ops.project ~ctx:par_ctx (Ops.natural_join ~ctx:par_ctx r s) keep));
-    qtest (name "semijoin via join") join_input_arbitrary (fun input ->
-        let r, s = inputs input in
-        sorted_rows (Ops.semijoin r s)
-        = sorted_rows (Ops.semijoin ~ctx:par_ctx r s));
-  ]
-
-(* A join big enough to split into genuinely non-trivial shards, with a
-   skewed key distribution (powers concentrate mass on few keys). *)
-let test_big_join_identical () =
-  let n = 20_000 in
-  let key i = i * i mod 4096 in
-  let r =
-    make_rel [ 0; 1 ]
-      (List.init n (fun i -> [ i; key i ]))
-  and s =
-    make_rel [ 1; 2 ]
-      (List.init n (fun i -> [ key (i + 17); i ]))
-  in
-  let seq = Ops.natural_join r s in
-  let par = Ops.natural_join ~ctx:par_ctx r s in
-  check_bool "nonempty" true (Relation.cardinality seq > 0);
-  check_int "same cardinality" (Relation.cardinality seq)
-    (Relation.cardinality par);
-  check_bool "identical sorted tuples" true
-    (List.equal Tuple.equal
-       (Relation.to_sorted_list seq)
-       (Relation.to_sorted_list par))
-
-let test_parallel_join_respects_budget () =
-  let n = 5_000 in
-  let r = make_rel [ 0; 1 ] (List.init n (fun i -> [ i; i mod 50 ]))
-  and s = make_rel [ 1; 2 ] (List.init n (fun i -> [ i mod 50; i ])) in
-  (* ~100 matches per probe row: the full output (~500k) dwarfs the
-     budget, so the guard must trip from a worker domain. *)
-  let limits = Limits.create ~max_total:10_000 ~max_tuples:max_int () in
-  let ctx = Ctx.create ~limits ~pool () in
-  match Ops.natural_join ~ctx r s with
-  | _ -> Alcotest.fail "expected Abort"
-  | exception Limits.Abort reason ->
-    Alcotest.(check string) "typed reason" "tuple-budget"
-      (Limits.reason_label reason)
-
-(* ------------------------------------------------------------------ *)
 (* Telemetry under domains                                             *)
 
 let test_metrics_cross_domain () =
@@ -222,14 +138,6 @@ let () =
            Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
            Alcotest.test_case "worker flag" `Quick test_pool_not_worker_outside;
          ] );
-       ( "join",
-         equiv_props
-         @ [
-             Alcotest.test_case "big skewed join identical" `Quick
-               test_big_join_identical;
-             Alcotest.test_case "budget abort from workers" `Quick
-               test_parallel_join_respects_budget;
-           ] );
        ( "telemetry",
          [
            Alcotest.test_case "atomic metrics across domains" `Quick

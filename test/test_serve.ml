@@ -96,26 +96,42 @@ let test_wire_defaults () =
     check_bool "no deadline by default" true (q.Wire.deadline_ms = None);
     check_int "default seed" 0 q.Wire.seed
   | Ok _ -> Alcotest.fail "parsed as the wrong op"
-  | Error (msg, _) -> Alcotest.failf "rejected: %s" msg
+  | Error (_, msg, _) -> Alcotest.failf "rejected: %s" msg
 
 let test_wire_type_errors_keep_id () =
   match Wire.parse_request {|{"op":"query","id":9,"query":5}|} with
-  | Error (_, Json.Int 9) -> ()
-  | Error (_, id) -> Alcotest.failf "lost the id: %s" (Json.to_string id)
+  | Error (_, _, Json.Int 9) -> ()
+  | Error (_, _, id) -> Alcotest.failf "lost the id: %s" (Json.to_string id)
   | Ok _ -> Alcotest.fail "accepted a non-string query"
 
+(* A line that is not JSON is a parse error; JSON that is not a valid
+   request is a bad request. *)
 let test_wire_rejects () =
-  let rejects line =
+  let rejects kind line =
     match Wire.parse_request line with
-    | Error _ -> ()
+    | Error (k, _, _) ->
+      Alcotest.(check string)
+        (Printf.sprintf "kind of %S" line)
+        (Wire.error_kind_label kind) (Wire.error_kind_label k)
     | Ok _ -> Alcotest.failf "accepted %S" line
   in
-  rejects "not json at all";
-  rejects {|[1,2,3]|};
-  rejects {|{"id":1}|};
-  rejects {|{"op":"transmogrify"}|};
-  rejects {|{"op":"query"}|};
-  rejects {|{"op":"query","query":"q() :- e(X).","ladder":"yes"}|}
+  rejects Wire.Parse_error "not json at all";
+  rejects Wire.Parse_error "not json";
+  rejects Wire.Parse_error {|{"op":"ping"|};
+  rejects Wire.Parse_error (String.make 600 '[');
+  rejects Wire.Bad_request {|[1,2,3]|};
+  rejects Wire.Bad_request {|"ping"|};
+  rejects Wire.Bad_request {|{"id":1}|};
+  rejects Wire.Bad_request {|{"op":7}|};
+  rejects Wire.Bad_request {|{"op":"transmogrify"}|};
+  rejects Wire.Bad_request {|{"op":"query"}|};
+  rejects Wire.Bad_request {|{"op":"query","query":"q() :- e(X).","ladder":"yes"}|};
+  match Wire.parse_request {|{"op":"transmogrify","id":3}|} with
+  | Error (Wire.Bad_request, _, Json.Int 3) -> ()
+  | Error (k, _, id) ->
+    Alcotest.failf "unknown op: kind %s, id %s" (Wire.error_kind_label k)
+      (Json.to_string id)
+  | Ok _ -> Alcotest.fail "accepted an unknown op"
 
 let test_wire_response_encoding () =
   let reparse r =
@@ -1159,6 +1175,10 @@ let test_server_end_to_end () =
   let bad = ask "}{ not json" in
   check_bool "malformed line gets a typed parse error" true
     (Wire.field bad "kind" = Some (Json.String "parse"));
+  let unknown = ask {|{"op":"transmogrify","id":3}|} in
+  check_bool "unknown op gets a bad-request error with its id" true
+    (Wire.field unknown "kind" = Some (Json.String "bad-request")
+    && Wire.field unknown "id" = Some (Json.Int 3));
   let stats = ask {|{"op":"stats","id":3}|} in
   check_bool "stats counts the requests" true
     (match Wire.field stats "requests" with
@@ -1207,6 +1227,33 @@ let test_server_rejects_deep_nesting () =
       let ans = ask {|{"op":"query","id":2,"query":"ans(X,Y) :- edge(X,Y)."}|} in
       check_bool "a new connection is served" true
         (Wire.field ans "status" = Some (Json.String "ok")))
+
+(* A 2 MiB line is over the 1 MiB line cap: it gets exactly one typed
+   error, promptly, and the same connection then answers a ping. *)
+let test_server_rejects_long_line () =
+  with_server @@ fun _server port ->
+  let fd, ic, oc = connect_tcp port in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let started = Unix.gettimeofday () in
+  send_line oc
+    ({|{"op":"query","id":5,"query":"|} ^ String.make (2 lsl 20) 'x' ^ {|"}|});
+  let reply =
+    match Jsonl.parse (input_line ic) with
+    | Ok v -> v
+    | Error msg -> Alcotest.failf "bad response: %s" msg
+  in
+  check_bool "answered within 1 s" true (Unix.gettimeofday () -. started < 1.0);
+  check_bool "typed bad-request error" true
+    (Wire.field reply "status" = Some (Json.String "error")
+    && Wire.field reply "kind" = Some (Json.String "bad-request"));
+  send_line oc {|{"op":"ping","id":6}|};
+  match Jsonl.parse (input_line ic) with
+  | Ok pong ->
+    check_bool "the next reply is the ping's" true
+      (Wire.field pong "id" = Some (Json.Int 6)
+      && Wire.field pong "pong" = Some (Json.Bool true))
+  | Error msg -> Alcotest.failf "bad response: %s" msg
 
 let test_server_concurrent_clients () =
   with_server @@ fun _server port ->
@@ -1379,6 +1426,8 @@ let () =
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;
           Alcotest.test_case "deep nesting rejected" `Quick
             test_server_rejects_deep_nesting;
+          Alcotest.test_case "long line rejected" `Quick
+            test_server_rejects_long_line;
           Alcotest.test_case "concurrent clients" `Quick
             test_server_concurrent_clients;
           Alcotest.test_case "unix socket and drain" `Quick

@@ -1,7 +1,6 @@
 (* Tests for the worst-case-optimal generic join: AGM cover soundness,
    the plan gate, and — the load-bearing property — tuple-identical
-   output against bucket elimination on fixed and random instances,
-   sequentially and across a domain pool. *)
+   output against bucket elimination on fixed and random instances. *)
 
 open Helpers
 module Agm = Wcoj.Agm
@@ -11,7 +10,6 @@ module Relation = Relalg.Relation
 module Ctx = Relalg.Ctx
 module Limits = Relalg.Limits
 module Gen = Graphlib.Generators
-module Pool = Parallel.Pool
 
 let bucket_result ?ctx db cq =
   let plan = Ppr_core.Bucket.compile ~rng:(rng 11) cq in
@@ -155,42 +153,6 @@ let prop_matches_bucket =
         [ Encode.Boolean; Encode.Fraction 0.4 ])
 
 (* ------------------------------------------------------------------ *)
-(* Parallel evaluation                                                 *)
-
-let with_pool f =
-  let p = Pool.create ~num_domains:4 ~grain:1 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
-
-let test_parallel_identity () =
-  with_pool @@ fun p ->
-  let ctx = Ctx.create ~pool:p () in
-  List.iter
-    (fun (name, mode, g) ->
-      let db, cq = coloring ~mode g in
-      let seq = Wcoj.evaluate db cq in
-      let par = Wcoj.evaluate ~ctx db cq in
-      check_bool (name ^ ": pool result identical") true
-        (Relation.equal_modulo_order seq par))
-    [
-      ("free dense", Encode.Fraction 0.5, random_graph ~seed:2 ~n:9 ~m:24);
-      ("free sparse", Encode.Fraction 0.5, Gen.path 8);
-      ("bool dense", Encode.Boolean, random_graph ~seed:2 ~n:9 ~m:24);
-      ("bool unsat", Encode.Boolean, random_graph ~seed:4 ~n:7 ~m:21);
-    ]
-
-let prop_parallel_matches_sequential =
-  qtest ~count:25 "pool evaluation = sequential (random CQs)"
-    graph_arbitrary (fun g ->
-      with_pool @@ fun p ->
-      let ctx = Ctx.create ~pool:p () in
-      List.for_all
-        (fun mode ->
-          let db, cq = coloring ~mode g in
-          Relation.equal_modulo_order (Wcoj.evaluate db cq)
-            (Wcoj.evaluate ~ctx db cq))
-        [ Encode.Boolean; Encode.Fraction 0.4 ])
-
-(* ------------------------------------------------------------------ *)
 (* Limits and validation                                               *)
 
 let test_abort_propagates () =
@@ -204,17 +166,7 @@ let test_abort_propagates () =
     with Limits.Abort _ -> ()
   in
   trip (Limits.create ~max_total:10 ());
-  trip (Limits.create ~max_tuples:3 ());
-  (* Same guards through the pool path: the shared guard must surface
-     the typed abort on the owning domain. *)
-  with_pool (fun p ->
-      try
-        ignore
-          (Wcoj.evaluate
-             ~ctx:(Ctx.create ~pool:p ~limits:(Limits.create ~max_total:10 ()) ())
-             db cq);
-        Alcotest.fail "expected an abort through the pool"
-      with Limits.Abort _ -> ())
+  trip (Limits.create ~max_tuples:3 ())
 
 let test_order_validation () =
   let db, cq = coloring ~mode:Encode.Boolean (Gen.cycle 3) in
@@ -264,11 +216,6 @@ let () =
              Alcotest.test_case "oracle agreement" `Quick
                test_oracle_agreement;
              prop_matches_bucket;
-           ] );
-         ( "parallel",
-           [
-             Alcotest.test_case "pool identity" `Quick test_parallel_identity;
-             prop_parallel_matches_sequential;
            ] );
          ( "guards",
            [
