@@ -5,7 +5,12 @@ module Tuple = Relalg.Tuple
 type t = { relations : (string, Relation.t) Hashtbl.t }
 
 let create () = { relations = Hashtbl.create 16 }
-let add t name rel = Hashtbl.replace t.relations name rel
+(* Index on the way in: database relations are read by several domains
+   at once (serve workers, sweep cells), and [Relation.mem] on an arena
+   whose index lags would write to it (see [Arena]). *)
+let add t name rel =
+  Relalg.Arena.index (Relation.arena rel);
+  Hashtbl.replace t.relations name rel
 let find t name = Hashtbl.find t.relations name
 let mem t name = Hashtbl.mem t.relations name
 let names t = List.sort Stdlib.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.relations [])

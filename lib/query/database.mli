@@ -11,7 +11,9 @@ type t
 val create : unit -> t
 
 val add : t -> string -> Relalg.Relation.t -> unit
-(** Register (or replace) a base relation. *)
+(** Register (or replace) a base relation. Its dedup index is brought
+    up to date first ({!Relalg.Arena.index}), so domains that share the
+    database can call [Relation.mem] on it concurrently. *)
 
 val find : t -> string -> Relalg.Relation.t
 (** @raise Not_found for an unregistered name. *)

@@ -5,14 +5,20 @@
    array. Dedup is an open-addressing (linear-probing) index whose slots
    hold [row + 1] (0 = empty); keys are re-read from the arena itself, so
    inserting hashes a candidate exactly once and stores nothing but the
-   row number. *)
+   row number.
+
+   The index is lazy. Kernels whose output is duplicate-free by
+   construction append rows with [append_staged] and never touch it; the
+   first [add], [mem] or [commit_staged] allocates it and indexes every
+   row from the [indexed] watermark on. *)
 
 type t = {
   arity : int;
   mutable data : int array; (* row-major tuple storage, capacity*arity cells *)
   mutable count : int; (* rows in use *)
-  mutable slots : int array; (* row + 1, 0 = empty; power-of-two length *)
+  mutable slots : int array; (* row + 1, 0 = empty; [||] until first needed *)
   mutable mask : int; (* Array.length slots - 1 *)
+  mutable indexed : int; (* rows [0, indexed) are in [slots] *)
 }
 
 let arity t = t.arity
@@ -44,14 +50,39 @@ let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
 let create ?(size_hint = 16) arity =
   if arity < 0 then invalid_arg "Arena.create: negative arity";
   let cap = max 8 size_hint in
-  let slot_len = pow2_at_least (2 * cap) 16 in
   {
     arity;
     data = Array.make (cap * arity) 0;
     count = 0;
-    slots = Array.make slot_len 0;
-    mask = slot_len - 1;
+    slots = [||];
+    mask = -1;
+    indexed = 0;
   }
+
+(* Bring the index up to date and leave room for one more row (50% load
+   at most). A new or grown index is sized for the data capacity, which
+   carries the creator's size hint; rows are pairwise distinct, so
+   placing one only needs the first empty slot. *)
+let sync t =
+  if 2 * (t.count + 1) > t.mask + 1 then begin
+    let cap = if t.arity = 0 then 1 else Array.length t.data / t.arity in
+    let slot_len = pow2_at_least (2 * max (t.count + 1) cap) 16 in
+    t.slots <- Array.make slot_len 0;
+    t.mask <- slot_len - 1;
+    t.indexed <- 0
+  end;
+  if t.indexed < t.count then begin
+    for row = t.indexed to t.count - 1 do
+      let rec place i =
+        if Array.unsafe_get t.slots i = 0 then t.slots.(i) <- row + 1
+        else place ((i + 1) land t.mask)
+      in
+      place (hash_row t row land t.mask)
+    done;
+    t.indexed <- t.count
+  end
+
+let index t = if t.count > 0 then sync t
 
 let row_equals_tuple t row (tup : int array) =
   let base = row * t.arity in
@@ -72,68 +103,56 @@ let find_slot t tup h =
 
 let mem t tup =
   Array.length tup = t.arity
-  && t.slots.(find_slot t tup (hash_tuple tup)) <> 0
+  && t.count > 0
+  && begin
+    sync t;
+    t.slots.(find_slot t tup (hash_tuple tup)) <> 0
+  end
 
-(* Grow the index at 50% load. Rows are pairwise distinct, so rehashing
-   only needs the first empty slot per row. *)
-let rehash t =
-  let slot_len = 2 * (t.mask + 1) in
-  t.slots <- Array.make slot_len 0;
-  t.mask <- slot_len - 1;
-  for row = 0 to t.count - 1 do
-    let rec place i =
-      if Array.unsafe_get t.slots i = 0 then t.slots.(i) <- row + 1
-      else place ((i + 1) land t.mask)
-    in
-    place (hash_row t row land t.mask)
-  done
-
-let reserve t =
+let reserve_row t =
   if t.arity > 0 && (t.count + 1) * t.arity > Array.length t.data then begin
     let data = Array.make (2 * Array.length t.data) 0 in
     Array.blit t.data 0 data 0 (t.count * t.arity);
     t.data <- data
-  end;
-  if 2 * (t.count + 1) > t.mask + 1 then rehash t
+  end
 
 let add t (tup : int array) =
   if Array.length tup <> t.arity then
     invalid_arg
       (Printf.sprintf "Arena.add: tuple arity %d, arena arity %d"
          (Array.length tup) t.arity);
-  reserve t;
+  reserve_row t;
+  sync t;
   let i = find_slot t tup (hash_tuple tup) in
   if t.slots.(i) <> 0 then false
   else begin
     let row = t.count in
     Array.blit tup 0 t.data (row * t.arity) t.arity;
     t.count <- row + 1;
+    t.indexed <- row + 1;
     t.slots.(i) <- row + 1;
     true
   end
 
 (* Reserve room for one row and return its base offset; the caller fills
-   data.(base..base+arity-1) then calls [commit_staged]. Lets join/project
-   kernels build candidate tuples in place with zero scratch copies. *)
+   data.(base..base+arity-1) then commits it. Lets join/project kernels
+   build candidate tuples in place with zero scratch copies. *)
 let stage t =
-  reserve t;
+  reserve_row t;
   t.count * t.arity
 
+let append_staged t = t.count <- t.count + 1
+
 let commit_staged t =
+  sync t;
   let row = t.count in
   let base = row * t.arity in
-  let h =
-    let h = ref fnv_seed in
-    for j = 0 to t.arity - 1 do
-      h := (!h lxor Array.unsafe_get t.data (base + j)) * fnv_prime
-    done;
-    !h land max_int
-  in
   let rec go i =
     let s = Array.unsafe_get t.slots i in
     if s = 0 then begin
       t.slots.(i) <- row + 1;
       t.count <- row + 1;
+      t.indexed <- row + 1;
       true
     end
     else if
@@ -149,7 +168,7 @@ let commit_staged t =
     then false
     else go ((i + 1) land t.mask)
   in
-  go (h land t.mask)
+  go (hash_row t row land t.mask)
 
 let get t row j = t.data.((row * t.arity) + j)
 let read t row = Array.sub t.data (row * t.arity) t.arity
@@ -173,4 +192,5 @@ let copy t =
     count = t.count;
     slots = Array.copy t.slots;
     mask = t.mask;
+    indexed = t.indexed;
   }

@@ -1,10 +1,3 @@
-module Key_table = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
-
 (* Every operator spends one unit of fuel up front; the tick also polls
    the deadline and chaos hook so aborts land at operator boundaries even
    when the operator itself produces nothing. *)
@@ -81,10 +74,14 @@ let finish_unary sp r out =
    columns straight out of the build arena (slots hold [row + 1]; rows
    with equal keys are chained through [next]), probes hash the probe
    arena's key columns in place, and matches are written cell-by-cell
-   into staged rows of the output arena, committed with a single dedup
-   hash. The single-attribute key case — the common one for the paper's
-   coloring queries — gets its own loops with the FNV step inlined on
-   one value. *)
+   into staged rows of the output arena. The single-attribute key case —
+   the common one for the paper's coloring queries — gets its own loops
+   with the FNV step inlined on one value.
+
+   Every kernel built on it appends its output without a dedup probe
+   ({!Arena.append_staged}): a join of two sets pairs distinct rows, and
+   a semijoin or antijoin keeps a subset of a set, so no output row can
+   repeat. *)
 
 let fnv_seed = 0x1000193
 let fnv_prime = 0x100000001b3
@@ -92,37 +89,19 @@ let hash1 v = ((fnv_seed lxor v) * fnv_prime) land max_int
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
 
-let hash_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
-  let build_on_r = Arena.count ar <= Arena.count as_ in
-  let ab, key_b = if build_on_r then (ar, key_r) else (as_, key_s) in
-  let ap, key_p = if build_on_r then (as_, key_s) else (ar, key_r) in
+(* Index the build arena [ab] on its [key_b] columns, then stream the
+   probe arena [ap]: [hit next b p] runs with the head [b] of the chain
+   of build rows whose key equals probe row [p]'s (follow [next.(b)] for
+   the rest, -1 ends the chain), [miss p] when there is none. *)
+let index_probe ~ab ~key_b ~ap ~key_p ~hit ~miss =
   let nb = Arena.count ab and np = Arena.count ap in
   let db = Arena.data ab and dp = Arena.data ap in
   let wb = Arena.arity ab and wp = Arena.arity ap in
-  let dr = Arena.data ar and wr = Arena.arity ar in
-  let ds = Arena.data as_ and ws = Arena.arity as_ in
   let klen = Array.length key_b in
-  let nrest = Array.length rest_s in
   let slot_len = pow2_at_least (max 16 (2 * nb)) 16 in
   let mask = slot_len - 1 in
   let slots = Array.make slot_len 0 in
   let next = Array.make (max 1 nb) (-1) in
-  let emit r_row s_row =
-    let base = Arena.stage aout in
-    let od = Arena.data aout in
-    Array.blit dr (r_row * wr) od base wr;
-    for k = 0 to nrest - 1 do
-      Array.unsafe_set od (base + wr + k)
-        (Array.unsafe_get ds ((s_row * ws) + Array.unsafe_get rest_s k))
-    done;
-    if Arena.commit_staged aout then charge_new limits out
-  in
-  let rec emit_chain brow prow =
-    if brow >= 0 then begin
-      if build_on_r then emit brow prow else emit prow brow;
-      emit_chain (Array.unsafe_get next brow) prow
-    end
-  in
   if klen = 1 then begin
     let kb0 = key_b.(0) and kp0 = key_p.(0) in
     for row = 0 to nb - 1 do
@@ -149,9 +128,12 @@ let hash_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
       let probing = ref true in
       while !probing do
         let s = Array.unsafe_get slots !i in
-        if s = 0 then probing := false
+        if s = 0 then begin
+          miss prow;
+          probing := false
+        end
         else if Array.unsafe_get db (((s - 1) * wb) + kb0) = v then begin
-          emit_chain (s - 1) prow;
+          hit next (s - 1) prow;
           probing := false
         end
         else i := (!i + 1) land mask
@@ -209,9 +191,12 @@ let hash_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
       let probing = ref true in
       while !probing do
         let s = Array.unsafe_get slots !i in
-        if s = 0 then probing := false
+        if s = 0 then begin
+          miss prow;
+          probing := false
+        end
         else if keys_equal_bp ((s - 1) * wb) pbase then begin
-          emit_chain (s - 1) prow;
+          hit next (s - 1) prow;
           probing := false
         end
         else i := (!i + 1) land mask
@@ -219,20 +204,14 @@ let hash_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
     done
   end
 
-(* Hash join. The build side is the smaller input; the probe side streams.
-   Output columns are always [r] then [s \ r], regardless of which side was
-   built on, so the operator is deterministic for callers. *)
-let natural_join ?(ctx = Ctx.null) r s =
+(* A join on explicit key columns: the whole [r] row, then [s]'s
+   [rest_s] columns, per matching pair. Builds on the smaller side and
+   appends every match (see above). *)
+let join_op name ctx r s ~key_r ~key_s ~rest_s out_schema =
   let stats = Ctx.stats ctx and limits = Ctx.limits ctx in
-  let sp = span (Ctx.telemetry ctx) "op.join.hash" in
+  let sp = span (Ctx.telemetry ctx) name in
   tick limits;
   Option.iter Stats.record_join stats;
-  let sr = Relation.schema r and ss = Relation.schema s in
-  let common = Schema.inter sr ss in
-  let out_schema = Schema.union sr ss in
-  let key_r = Schema.positions common sr in
-  let key_s = Schema.positions common ss in
-  let rest_s = Schema.positions (Schema.diff ss sr) ss in
   let out =
     Relation.create
       ~size_hint:(max 16 (max (Relation.cardinality r) (Relation.cardinality s)))
@@ -240,10 +219,47 @@ let natural_join ?(ctx = Ctx.null) r s =
   in
   let ar = Relation.arena r and as_ = Relation.arena s in
   let aout = Relation.arena out in
-  hash_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s;
+  let build_on_r = Arena.count ar <= Arena.count as_ in
+  let ab, key_b = if build_on_r then (ar, key_r) else (as_, key_s) in
+  let ap, key_p = if build_on_r then (as_, key_s) else (ar, key_r) in
+  let dr = Arena.data ar and wr = Arena.arity ar in
+  let ds = Arena.data as_ and ws = Arena.arity as_ in
+  let nrest = Array.length rest_s in
+  let emit r_row s_row =
+    let base = Arena.stage aout in
+    let od = Arena.data aout in
+    let rbase = r_row * wr in
+    for j = 0 to wr - 1 do
+      Array.unsafe_set od (base + j) (Array.unsafe_get dr (rbase + j))
+    done;
+    for k = 0 to nrest - 1 do
+      Array.unsafe_set od (base + wr + k)
+        (Array.unsafe_get ds ((s_row * ws) + Array.unsafe_get rest_s k))
+    done;
+    Arena.append_staged aout;
+    charge_new limits out
+  in
+  let rec emit_chain next brow prow =
+    if brow >= 0 then begin
+      if build_on_r then emit brow prow else emit prow brow;
+      emit_chain next (Array.unsafe_get next brow) prow
+    end
+  in
+  index_probe ~ab ~key_b ~ap ~key_p ~hit:emit_chain ~miss:ignore;
   note_result stats limits out;
   finish_join sp r s out;
   out
+
+(* Hash join. The build side is the smaller input; the probe side streams.
+   Output columns are always [r] then [s \ r], regardless of which side was
+   built on, so the operator is deterministic for callers. *)
+let natural_join ?(ctx = Ctx.null) r s =
+  let sr = Relation.schema r and ss = Relation.schema s in
+  let common = Schema.inter sr ss in
+  join_op "op.join.hash" ctx r s ~key_r:(Schema.positions common sr)
+    ~key_s:(Schema.positions common ss)
+    ~rest_s:(Schema.positions (Schema.diff ss sr) ss)
+    (Schema.union sr ss)
 
 let product ?ctx r s =
   if not (Schema.is_disjoint (Relation.schema r) (Relation.schema s)) then
@@ -253,34 +269,12 @@ let product ?ctx r s =
 let equijoin ?(ctx = Ctx.null) ~on r s =
   if not (Schema.is_disjoint (Relation.schema r) (Relation.schema s)) then
     invalid_arg "Ops.equijoin: schemas intersect";
-  let stats = Ctx.stats ctx and limits = Ctx.limits ctx in
-  let sp = span (Ctx.telemetry ctx) "op.join.equi" in
-  tick limits;
-  Option.iter Stats.record_join stats;
   let sr = Relation.schema r and ss = Relation.schema s in
   let key_r = Array.of_list (List.map (fun (a, _) -> Schema.index sr a) on) in
   let key_s = Array.of_list (List.map (fun (_, b) -> Schema.index ss b) on) in
-  let out =
-    Relation.create ~size_hint:(max 16 (Relation.cardinality r))
-      (Schema.union sr ss)
-  in
-  let table = Key_table.create (max 16 (Relation.cardinality s)) in
-  Relation.iter
-    (fun tup ->
-      let key = Tuple.project tup key_s in
-      let bucket = try Key_table.find table key with Not_found -> [] in
-      Key_table.replace table key (tup :: bucket))
-    s;
-  Relation.iter
-    (fun tup ->
-      match Key_table.find_opt table (Tuple.project tup key_r) with
-      | None -> ()
-      | Some bucket ->
-        List.iter (fun mate -> guarded_add limits out (Tuple.concat tup mate)) bucket)
-    r;
-  note_result stats limits out;
-  finish_join sp r s out;
-  out
+  join_op "op.join.equi" ctx r s ~key_r ~key_s
+    ~rest_s:(Array.init (Relation.arity s) Fun.id)
+    (Schema.union sr ss)
 
 let project ?(ctx = Ctx.null) r sub =
   let stats = Ctx.stats ctx and limits = Ctx.limits ctx in
@@ -377,26 +371,34 @@ let diff ?ctx r s =
   let s = aligned "Ops.diff" r s in
   select_named "op.diff" ?ctx r (fun tup -> not (Relation.mem s tup))
 
-(* Semi/antijoin: hash the join-key projection of [s], filter [r]. *)
-let key_set s key_positions =
-  let keys = Key_table.create (max 16 (Relation.cardinality s)) in
-  Relation.iter
-    (fun tup -> Key_table.replace keys (Tuple.project tup key_positions) ())
-    s;
-  keys
+(* Semi/antijoin: index [s] on the shared columns, probe [r]'s rows in
+   place and append the ones that do (or do not) find a match. *)
+let filter_join name keep_matched ?(ctx = Ctx.null) r s =
+  let stats = Ctx.stats ctx and limits = Ctx.limits ctx in
+  let sp = span (Ctx.telemetry ctx) name in
+  tick limits;
+  Option.iter Stats.record_selection stats;
+  let sr = Relation.schema r and ss = Relation.schema s in
+  let common = Schema.inter sr ss in
+  let out = Relation.create ~size_hint:(max 16 (Relation.cardinality r)) sr in
+  let ar = Relation.arena r and aout = Relation.arena out in
+  let dr = Arena.data ar and w = Arena.arity ar in
+  let keep prow =
+    let base = Arena.stage aout in
+    Array.blit dr (prow * w) (Arena.data aout) base w;
+    Arena.append_staged aout;
+    charge_new limits out
+  in
+  let on_hit, on_miss =
+    if keep_matched then (keep, ignore) else (ignore, keep)
+  in
+  index_probe ~ab:(Relation.arena s) ~key_b:(Schema.positions common ss) ~ap:ar
+    ~key_p:(Schema.positions common sr)
+    ~hit:(fun _ _ prow -> on_hit prow)
+    ~miss:on_miss;
+  note_result stats limits out;
+  finish_unary sp r out;
+  out
 
-let semijoin ?ctx r s =
-  let common = Schema.inter (Relation.schema r) (Relation.schema s) in
-  let key_r = Schema.positions common (Relation.schema r) in
-  let key_s = Schema.positions common (Relation.schema s) in
-  let keys = key_set s key_s in
-  select_named "op.semijoin" ?ctx r (fun tup ->
-      Key_table.mem keys (Tuple.project tup key_r))
-
-let antijoin ?ctx r s =
-  let common = Schema.inter (Relation.schema r) (Relation.schema s) in
-  let key_r = Schema.positions common (Relation.schema r) in
-  let key_s = Schema.positions common (Relation.schema s) in
-  let keys = key_set s key_s in
-  select_named "op.antijoin" ?ctx r (fun tup ->
-      not (Key_table.mem keys (Tuple.project tup key_r)))
+let semijoin ?ctx r s = filter_join "op.semijoin" true ?ctx r s
+let antijoin ?ctx r s = filter_join "op.antijoin" false ?ctx r s

@@ -15,8 +15,12 @@
     Each operator spends one unit of {!Limits} fuel on entry and charges
     per materialized tuple, so deadlines and budgets fire mid-operator.
 
-    The joins and projections run specialized kernels that read columns
-    directly out of the tuple arenas and never allocate per probe.
+    The joins, semijoins, antijoins and projections run specialized
+    kernels that read columns directly out of the tuple arenas and never
+    allocate per probe. The joins and the semi/antijoins share one
+    hash-index kernel and append their output rows without a dedup
+    probe ({!Arena.append_staged}): a join of two sets, or a subset of a
+    set, cannot repeat a row. Projection, which can, deduplicates.
 
     @raise Limits.Abort when a guard trips (see {!Limits.reason}). *)
 
@@ -39,7 +43,8 @@ val equijoin :
 (** [equijoin ~on r s] joins on the explicit attribute pairs (left
     attribute from [r], right from [s]); both columns are kept, as SQL
     does. The schemas must be disjoint (qualified column names from
-    different aliases). An empty [on] is the cartesian product.
+    different aliases). An empty [on] is the cartesian product. Runs
+    on the same hash-join kernel as {!natural_join}.
     @raise Not_found if a pair names an absent attribute. *)
 
 val project : ?ctx:Ctx.t -> Relation.t -> Schema.t -> Relation.t
@@ -74,7 +79,8 @@ val diff : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 
 val semijoin : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 (** [semijoin r s] keeps the rows of [r] that join with some row of [s]
-    (the Wong–Youssefi reducer; see also {!antijoin}). *)
+    (the Wong–Youssefi reducer; see also {!antijoin}). [s] is indexed on
+    the shared columns and [r]'s rows probe it in place. *)
 
 val antijoin : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 (** Rows of [r] that join with no row of [s]. *)

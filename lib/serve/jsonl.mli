@@ -8,6 +8,9 @@
     nest at most 512 deep; a deeper line is rejected at the 513th
     opening bracket, so hostile nesting costs bounded time. *)
 
+val max_depth : int
+(** The nesting cap: 512. *)
+
 val parse : string -> (Telemetry.Json.t, string) result
 (** [Error] carries a byte-offset-annotated message. *)
 

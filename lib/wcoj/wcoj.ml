@@ -4,6 +4,7 @@ module Cq = Conjunctive.Cq
 module Database = Conjunctive.Database
 module Joingraph = Conjunctive.Joingraph
 module Relation = Relalg.Relation
+module Arena = Relalg.Arena
 module Schema = Relalg.Schema
 module Ctx = Relalg.Ctx
 module Limits = Relalg.Limits
@@ -245,11 +246,16 @@ let evaluate ?(ctx = Ctx.null) ?order db cq =
     let tick () =
       match limits with Some l -> Limits.charge l 1 | None -> ()
     in
+    (* Leapfrog emits each free prefix once (see [iter]), so the prefix
+       is written straight into a staged row and appended undeduped. *)
+    let aout = Relation.arena out in
     let emit binding =
-      if Relation.add out (Array.sub binding 0 n_free) then
-        match limits with
-        | Some l -> Limits.check_cardinality l (Relation.cardinality out)
-        | None -> ()
+      let base = Arena.stage aout in
+      Array.blit binding 0 (Arena.data aout) base n_free;
+      Arena.append_staged aout;
+      match limits with
+      | Some l -> Limits.check_cardinality l (Relation.cardinality out)
+      | None -> ()
     in
     make_engine ~tries ~parts ~k ~n_free ~tick ~emit 0
   end;

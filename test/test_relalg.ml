@@ -484,6 +484,126 @@ let test_arena_staged_commit () =
   check_int "count" 1 (Arena.count a);
   check_bool "mem" true (Arena.mem a [| 1; 2; 3 |])
 
+(* Append-only commits: rows that skip the dedup probe are indexed
+   lazily, from a watermark, by the next [add]/[mem]/[commit_staged]. *)
+
+let append_row a row =
+  let base = Arena.stage a in
+  Array.blit row 0 (Arena.data a) base (Array.length row);
+  Arena.append_staged a
+
+let stage_row a row =
+  let base = Arena.stage a in
+  Array.blit row 0 (Arena.data a) base (Array.length row)
+
+let appended_arena n =
+  let a = Arena.create ~size_hint:16 2 in
+  for k = 0 to n - 1 do
+    append_row a [| k; 3 * k |]
+  done;
+  a
+
+let test_arena_append_then_dedup () =
+  (* [add] and [commit_staged] as the first index-touching call each. *)
+  let a = appended_arena 100 in
+  check_bool "add of an appended row" false (Arena.add a [| 57; 171 |]);
+  check_int "add left count alone" 100 (Arena.count a);
+  let b = appended_arena 100 in
+  stage_row b [| 99; 297 |];
+  check_bool "commit of an appended row" false (Arena.commit_staged b);
+  check_int "commit left count alone" 100 (Arena.count b);
+  (* Appends after the index exists sit past the watermark. *)
+  for k = 100 to 199 do
+    append_row b [| k; 3 * k |]
+  done;
+  check_bool "add past the watermark" false (Arena.add b [| 150; 450 |]);
+  stage_row b [| 199; 597 |];
+  check_bool "commit past the watermark" false (Arena.commit_staged b);
+  check_bool "fresh row still lands" true (Arena.add b [| 200; 600 |]);
+  check_int "count" 201 (Arena.count b)
+
+let test_arena_copy_partly_indexed () =
+  let a = appended_arena 100 in
+  (* [mem] as the first index-touching call. *)
+  check_bool "mem first row" true (Arena.mem a [| 0; 0 |]);
+  check_bool "mem last row" true (Arena.mem a [| 99; 297 |]);
+  for k = 100 to 199 do
+    append_row a [| k; 3 * k |]
+  done;
+  let c = Arena.copy a in
+  List.iter
+    (fun arena ->
+      check_bool "mem indexed half" true (Arena.mem arena [| 5; 15 |]);
+      check_bool "mem appended half" true (Arena.mem arena [| 180; 540 |]);
+      check_bool "absent" false (Arena.mem arena [| 180; 541 |]);
+      check_bool "duplicate add" false (Arena.add arena [| 120; 360 |]))
+    [ c; a ];
+  check_bool "new row in the copy" true (Arena.add c [| -1; -1 |]);
+  check_int "copy grew" 201 (Arena.count c);
+  check_int "original untouched" 200 (Arena.count a);
+  check_bool "original lacks it" false (Arena.mem a [| -1; -1 |])
+
+let test_arena_append_zero_ary () =
+  let a = Arena.create 0 in
+  ignore (Arena.stage a);
+  Arena.append_staged a;
+  check_int "one row" 1 (Arena.count a);
+  ignore (Arena.stage a);
+  check_bool "commit of the empty tuple" false (Arena.commit_staged a);
+  check_bool "add of the empty tuple" false (Arena.add a [||]);
+  check_bool "mem" true (Arena.mem a [||]);
+  check_int "still one row" 1 (Arena.count a)
+
+let test_arena_append_many_rows () =
+  (* Past 64k appended rows the data array has grown many times; the
+     index is then built in one catch-up and must hold every row. *)
+  let n = 70_000 in
+  let a = appended_arena n in
+  check_int "all appended" n (Arena.count a);
+  for k = 0 to n - 1 do
+    if Arena.add a [| k; 3 * k |] then
+      Alcotest.failf "appended row %d re-inserted" k
+  done;
+  check_int "still n rows" n (Arena.count a);
+  check_bool "mem early" true (Arena.mem a [| 0; 0 |]);
+  check_bool "mem late" true (Arena.mem a [| n - 1; 3 * (n - 1) |]);
+  check_bool "absent" false (Arena.mem a [| n; 3 * n |])
+
+(* A relation in a shared database is probed by several domains at once;
+   [Database.add] must leave nothing for [mem] to write. The relation
+   comes from a join, so its 100k rows were appended unindexed, and the
+   domains start probing together so a lagging index would be built by
+   all of them at once. *)
+let test_arena_shared_database_mem () =
+  let r = relation [ 0; 1 ] (List.init 1000 (fun k -> [ k; k mod 10 ])) in
+  let s = relation [ 1; 2 ] (List.init 1000 (fun k -> [ k mod 10; k ])) in
+  let db = Conjunctive.Database.create () in
+  Conjunctive.Database.add db "j" (Ops.natural_join r s);
+  let shared = Conjunctive.Database.find db "j" in
+  let probes =
+    Array.init 4000 (fun i -> [| i mod 1001; i mod 11; (i * 7) mod 1001 |])
+  in
+  let expected =
+    Array.map
+      (fun p ->
+        p.(0) < 1000 && p.(1) = p.(0) mod 10 && p.(2) < 1000
+        && p.(2) mod 10 = p.(1))
+      probes
+  in
+  let ready = Atomic.make 0 in
+  let worker () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    Array.for_all2 (fun p want -> Relation.mem shared p = want) probes expected
+  in
+  let domains = Array.init 4 (fun _ -> Domain.spawn worker) in
+  Array.iteri
+    (fun i d ->
+      check_bool (Printf.sprintf "domain %d agrees" i) true (Domain.join d))
+    domains
+
 (* ------------------------------------------------------------------ *)
 (* Cursor: the pull-based answer stream                                *)
 
@@ -674,6 +794,49 @@ let prop_matches_reference ?(schemas = join_schemas) name op reference =
 let last_and_first attrs =
   [ List.nth attrs (List.length attrs - 1); List.hd attrs ]
 
+(* The append-only kernels skip the dedup probe, so each must emit a
+   set: its cardinality is the reference's distinct row count. The
+   equijoin runs on [b] renamed apart (attribute [x] becomes [x + 10]),
+   and the generic join projects onto the join's last and first
+   attributes, so its free prefixes could repeat if it emitted twice. *)
+let prop_kernels_duplicate_free =
+  qtest "kernels emit no duplicate rows" (ref_input_arbitrary join_schemas)
+    (fun (((sa, ra) as a), ((sb, rb) as b)) ->
+      let r = relation sa ra and s = relation sb rb in
+      let distinct (_, rows) = List.length rows in
+      let card = Relation.cardinality in
+      let common = List.filter (fun x -> List.mem x sa) sb in
+      let sb' = List.map (fun x -> x + 10) sb in
+      let equi_ref =
+        let attrs, product = Ref.join a (sb', rb) in
+        List.filter
+          (fun row ->
+            List.for_all
+              (fun x -> Ref.value attrs row x = Ref.value attrs row (x + 10))
+              common)
+          product
+      in
+      let equi =
+        Ops.equijoin
+          ~on:(List.map (fun x -> (x, x + 10)) common)
+          r (relation sb' rb)
+      in
+      let joined = Ref.join a b in
+      let free = last_and_first (fst joined) in
+      let db = Conjunctive.Database.create () in
+      Conjunctive.Database.add db "r" r;
+      Conjunctive.Database.add db "s" s;
+      let cq =
+        Conjunctive.Cq.make ~free
+          ~atoms:
+            [ { Conjunctive.Cq.rel = "r"; vars = sa }; { rel = "s"; vars = sb } ]
+      in
+      card (Ops.natural_join r s) = distinct joined
+      && card (Ops.semijoin r s) = distinct (Ref.semijoin a b)
+      && card (Ops.antijoin r s) = distinct (Ref.antijoin a b)
+      && card equi = List.length equi_ref
+      && card (Wcoj.evaluate db cq) = distinct (Ref.project joined free))
+
 let reference_suite =
   ( "reference",
     [
@@ -694,6 +857,7 @@ let reference_suite =
       prop_matches_reference ~schemas:union_schemas "union"
         (fun r s -> Ops.union r s)
         Ref.union;
+      prop_kernels_duplicate_free;
     ] )
 
 let () =
@@ -785,6 +949,15 @@ let () =
               test_arena_many_rows;
             Alcotest.test_case "staged commit dedup" `Quick
               test_arena_staged_commit;
+            Alcotest.test_case "add/commit of appended rows" `Quick
+              test_arena_append_then_dedup;
+            Alcotest.test_case "copy of a partly indexed arena" `Quick
+              test_arena_copy_partly_indexed;
+            Alcotest.test_case "0-ary append" `Quick test_arena_append_zero_ary;
+            Alcotest.test_case "append growth (70k rows)" `Quick
+              test_arena_append_many_rows;
+            Alcotest.test_case "shared database mem, 4 domains" `Quick
+              test_arena_shared_database_mem;
           ] );
         cursor_suite;
         reference_suite;

@@ -133,6 +133,87 @@ let test_wire_rejects () =
       (Json.to_string id)
   | Ok _ -> Alcotest.fail "accepted an unknown op"
 
+(* Fuzz: every byte string gets exactly one typed result from
+   [parse_request] — a request, or a [parse]/[bad-request] error — with
+   no exception and in bounded time. The generators aim at the parser's
+   edges: truncated requests, nesting around [Jsonl.max_depth], long
+   strings, invalid UTF-8 and fields of the wrong type. *)
+let wire_fuzz_arbitrary =
+  let open QCheck.Gen in
+  let valid =
+    [
+      {|{"op":"query","id":1,"query":"q(X) :- edge(X,Y).","limit":5}|};
+      {|{"op":"query","id":"a","query":"p() :- e(A,B), e(B,C).","method":"wcoj","ladder":false,"deadline_ms":50}|};
+      {|{"op":"query","query":"q(X) :- e(X,Y).","cursor":"c1","seed":3,"fuel":9}|};
+      {|{"op":"ping","id":[1,{"k":null}]}|};
+      {|{"op":"metrics"}|};
+      {|{"op":"stats","id":2.5}|};
+    ]
+  in
+  let truncated =
+    oneofl valid >>= fun line ->
+    int_bound (String.length line) >|= fun n -> String.sub line 0 n
+  in
+  let nesting =
+    int_range (Jsonl.max_depth - 3) (Jsonl.max_depth + 3) >>= fun depth ->
+    oneofl [ ("[", "]"); ({|{"a":|}, "}") ] >>= fun (opening, closing) ->
+    bool >>= fun closed ->
+    bool >|= fun as_id ->
+    let body =
+      String.concat "" (List.init depth (fun _ -> opening))
+      ^ "1"
+      ^ if closed then String.concat "" (List.init depth (fun _ -> closing))
+        else ""
+    in
+    if as_id then {|{"op":"ping","id":|} ^ body ^ "}" else body
+  in
+  let long_string =
+    int_range 10_000 200_000 >>= fun n ->
+    char_range 'a' 'z' >>= fun c ->
+    bool >|= fun terminated ->
+    {|{"op":"query","query":"|} ^ String.make n c
+    ^ if terminated then {|"}|} else ""
+  in
+  let invalid_utf8 =
+    oneofl valid >>= fun line ->
+    int_bound (String.length line) >>= fun at ->
+    list_size (int_range 1 6) (char_range '\x80' '\xff') >|= fun bytes ->
+    String.sub line 0 at
+    ^ String.of_seq (List.to_seq bytes)
+    ^ String.sub line at (String.length line - at)
+  in
+  let wrong_type =
+    oneofl
+      [ "id"; "query"; "method"; "ladder"; "deadline_ms"; "max_tuples";
+        "max_total"; "fuel"; "max_answers"; "limit"; "cursor"; "chaos";
+        "seed"; "op" ]
+    >>= fun field ->
+    oneofl
+      [ "7"; "-1"; "2.5"; "true"; "null"; {|"s"|}; "[]"; "[1,2]"; "{}";
+        {|{"x":1}|}; "1e999"; "99999999999999999999" ]
+    >|= fun value ->
+    Printf.sprintf {|{"op":"query","query":"q(X) :- e(X,Y).","%s":%s}|} field
+      value
+  in
+  let noise = string_size ~gen:char (int_range 0 64) in
+  QCheck.make
+    ~print:(fun s ->
+      if String.length s > 200 then
+        Printf.sprintf "%S... (%d bytes)" (String.sub s 0 200) (String.length s)
+      else Printf.sprintf "%S" s)
+    (oneof [ truncated; nesting; long_string; invalid_utf8; wrong_type; noise ])
+
+let prop_wire_fuzz =
+  qtest ~count:400 "fuzz: one typed result per byte string, in bounded time"
+    wire_fuzz_arbitrary (fun line ->
+      let started = Unix.gettimeofday () in
+      let typed =
+        match Wire.parse_request line with
+        | Ok _ | Error ((Wire.Parse_error | Wire.Bad_request), _, _) -> true
+        | Error _ -> false
+      in
+      typed && Unix.gettimeofday () -. started < 0.5)
+
 let test_wire_response_encoding () =
   let reparse r =
     match Jsonl.parse (Wire.response_to_string r) with
@@ -1347,6 +1428,7 @@ let () =
           Alcotest.test_case "rejects bad requests" `Quick test_wire_rejects;
           Alcotest.test_case "response encoding" `Quick
             test_wire_response_encoding;
+          prop_wire_fuzz;
         ] );
       ( "canon",
         [
